@@ -25,6 +25,7 @@ from .core import (
     is_metric,
     members_of,
 )
+from .morphisms import _distance_mismatches
 from .reflection import metric_reflection
 from .topology import is_closed
 
@@ -77,13 +78,7 @@ def is_superspace(e: Embedding) -> bool:
     """True iff the inclusion is injective and preserves every distance."""
     if len(set(e.inclusion.images)) != e.sub.n:
         return False
-    sm, pm = e.sub.matrix, e.sup.matrix
-    img = e.inclusion.images
-    for i in range(e.sub.n):
-        for j in range(i + 1, e.sub.n):
-            if pm[img[i]][img[j]] != sm[i][j]:
-                return False
-    return True
+    return next(_distance_mismatches(e.inclusion), None) is None
 
 
 def in_cec(e: Embedding) -> bool:
@@ -221,6 +216,17 @@ def _shortest_path_repair(rows: list[list[Dist]]) -> None:
                     rows[i][j] = via
 
 
+def _pad_with_clones(rows: list[list[Dist]], total: int, rng: random.Random) -> None:
+    # Grow a square matrix in place to ``total`` points; each new point is a
+    # zero-distance clone of a uniformly drawn earlier point (one randrange
+    # per new point, in order, so seeded outputs stay fixed).
+    for i in range(len(rows), total):
+        src = rng.randrange(i)
+        for row in rows:
+            row.append(row[src])
+        rows.append([rows[j][src] for j in range(i)] + [Fraction(0)])
+
+
 def random_space(p: GenParams) -> Space:
     """Generate a reproducible valid pseudometric space.
 
@@ -241,11 +247,7 @@ def random_space(p: GenParams) -> Space:
         for j in range(i + 1, base):
             rows[i][j] = rows[j][i] = _draw_entry(rng, p.max_entry)
     _shortest_path_repair(rows)
-    for i in range(base, p.n):
-        src = rng.randrange(i)
-        for row in rows:
-            row.append(row[src])
-        rows.append([rows[j][src] for j in range(i)] + [Fraction(0)])
+    _pad_with_clones(rows, p.n, rng)
     labels = tuple(f"p{i}" for i in range(p.n))
     return Space(labels, tuple(tuple(r) for r in rows))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 Dist = Fraction
@@ -126,6 +127,22 @@ class Space:
     def validate(self) -> Report:
         return validate_pseudometric(self.labels, self.matrix)
 
+    @cached_property
+    def _zero_partition(self) -> "Partition":
+        # Not a field, so equality, hashing and repr ignore it. A failed
+        # check caches nothing: every later read raises again.
+        part = Partition(self, tuple(zero_blocks_unchecked(self)))
+        for i, row in enumerate(self.matrix):
+            for j, dij in enumerate(row):
+                if (dij == 0) != (part._index[i] == part._index[j]):
+                    rule = "symmetric" if dij == 0 else "transitive"
+                    raise ValueError(
+                        f"zero-distance relation is not {rule}: "
+                        f"d({self.labels[i]},{self.labels[j]}) = "
+                        f"{format_dist(dij)}; not a valid pseudometric"
+                    )
+        return part
+
 
 @dataclass(frozen=True)
 class Subset:
@@ -178,36 +195,35 @@ class Partition:
     """Disjoint nonempty blocks covering all point indices of a space.
 
     Blocks are canonically ordered by least member, which makes every output
-    derived from a partition deterministic.
+    derived from a partition deterministic. A point-to-block index built at
+    construction makes :meth:`block_of` and :meth:`block_index` O(1).
     """
 
     space: Space
     blocks: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for b in self.blocks:
+        index: dict[int, int] = {}
+        for k, b in enumerate(self.blocks):
             if not b:
                 raise ValueError("empty block")
-            if seen & b:
-                raise ValueError("blocks are not disjoint")
-            seen |= b
-        if seen != set(range(self.space.n)):
+            for i in b:
+                if i in index:
+                    raise ValueError("blocks are not disjoint")
+                index[i] = k
+        if index.keys() != set(range(self.space.n)):
             raise ValueError("blocks do not cover the space")
         if list(self.blocks) != sorted(self.blocks, key=min):
             raise ValueError("blocks must be ordered by least member")
+        object.__setattr__(self, "_index", tuple(index[i] for i in range(self.space.n)))
 
     def block_of(self, i: int) -> frozenset[int]:
-        for b in self.blocks:
-            if i in b:
-                return b
-        raise ValueError(f"point index {i} out of range")
+        return self.blocks[self.block_index(i)]
 
     def block_index(self, i: int) -> int:
-        for k, b in enumerate(self.blocks):
-            if i in b:
-                return k
-        raise ValueError(f"point index {i} out of range")
+        if not 0 <= i < self.space.n:
+            raise ValueError(f"point index {i} out of range")
+        return self._index[i]
 
 
 @dataclass(frozen=True)
@@ -237,29 +253,6 @@ class PointMap:
     @classmethod
     def identity(cls, space: Space) -> "PointMap":
         return cls(space, space, tuple(range(space.n)))
-
-
-class _UnionFind:
-    """Array-based union-find with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # smaller root wins so representatives stay least-index
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
 
 
 def _raw_rational(value: object, where: str) -> Fraction:
@@ -329,45 +322,48 @@ def is_metric(space: Space) -> bool:
 def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
     """Connected components of the distance-0 relation, ordered by least member.
 
-    Does not require the relation to be transitive; callers that do should
-    use :func:`zero_classes`.
+    Reads ``d(i, j)`` for ``i < j`` only and does not require the relation
+    to be transitive; callers that need an equivalence should use
+    :func:`zero_classes`, which checks every entry against these blocks.
     """
-    uf = _UnionFind(space.n)
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if space.matrix[i][j] == 0:
-                uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(space.n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return [frozenset(g) for g in sorted(groups.values(), key=min)]
+    m = space.matrix
+    blocks: list[frozenset[int]] = []
+    seen: set[int] = set()
+    for root in range(space.n):
+        if root in seen:
+            continue
+        block, stack = {root}, [root]
+        while stack:
+            i = stack.pop()
+            for j in range(space.n):
+                if j not in block and (m[i][j] if i < j else m[j][i]) == 0:
+                    block.add(j)
+                    stack.append(j)
+        seen |= block
+        blocks.append(frozenset(block))
+    return blocks
 
 
 def zero_classes(space: Space) -> Partition:
     """Partition the points into classes of pairwise distance 0.
 
-    For a valid pseudometric the zero-distance relation is transitive (a
-    consequence of the triangle inequality); this is verified as a sanity
-    check and a ``ValueError`` is raised if the input breaks it.
+    The partition is computed on the first call for a space and kept with
+    it; saturation, the topology and the metric reflection all read it.
+    Diagnostics that must run on broken matrices use
+    :func:`zero_blocks_unchecked` instead.
+
+    For a valid pseudometric the zero-distance relation is an equivalence
+    (reflexive and symmetric by the axioms, transitive by the triangle
+    inequality). The check is exact: ``d(i, j) == 0`` must hold precisely
+    when ``i`` and ``j`` share a block, and a ``ValueError`` is raised on the
+    first pair where it does not.
     """
-    blocks = zero_blocks_unchecked(space)
-    for b in blocks:
-        for i in b:
-            for j in b:
-                if space.matrix[i][j] != 0:
-                    raise ValueError(
-                        "zero-distance relation is not transitive: "
-                        f"d({space.labels[i]},{space.labels[j]}) = "
-                        f"{format_dist(space.matrix[i][j])}; not a valid pseudometric"
-                    )
-    return Partition(space, tuple(blocks))
+    return space._zero_partition
 
 
 def class_of(space: Space, a: int) -> Subset:
-    """The set of points at distance 0 from point ``a`` (a row scan)."""
-    if not 0 <= a < space.n:
-        raise ValueError(f"point index {a} out of range")
-    return Subset(space, frozenset(x for x in range(space.n) if space.matrix[a][x] == 0))
+    """The set of points at distance 0 from point ``a``: its zero class."""
+    return Subset(space, zero_classes(space).block_of(a))
 
 
 def saturate(space: Space, A: SetLike) -> Subset:
@@ -379,8 +375,4 @@ def saturate(space: Space, A: SetLike) -> Subset:
     """
     members = members_of(space, A)
     part = zero_classes(space)
-    out: set[int] = set()
-    for b in part.blocks:
-        if b & members:
-            out |= b
-    return Subset(space, frozenset(out))
+    return Subset(space, frozenset().union(*map(part.block_of, members)))

@@ -20,6 +20,7 @@ from typing import Iterator
 from .constructions import (
     Embedding,
     GenParams,
+    _pad_with_clones,
     check_cec_minimality,
     completion_glue,
     glue_zero_point,
@@ -48,6 +49,7 @@ from .topology import (
     is_closed,
     is_open,
     limit_points,
+    open_ball,
 )
 
 SUITES = ("topology", "morphisms", "constructions")
@@ -137,11 +139,7 @@ def _subsets_to_try(rng: random.Random, n: int) -> list[frozenset[int]]:
 def _with_clones(base: Space, total: int, rng: random.Random) -> Space:
     """Pad a space with zero-distance clones of random points up to ``total``."""
     rows = [list(r) for r in base.matrix]
-    for i in range(base.n, total):
-        src = rng.randrange(i)
-        for row in rows:
-            row.append(row[src])
-        rows.append([rows[j][src] for j in range(i)] + [Fraction(0)])
+    _pad_with_clones(rows, total, rng)
     labels = base.labels + tuple(f"c{i}" for i in range(base.n, total))
     return Space(labels, tuple(tuple(r) for r in rows))
 
@@ -178,20 +176,30 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
             space=space,
         )
         subsets = _subsets_to_try(rng, n)
+        # The least open ball around each point, from the definition: its
+        # radius is the least positive distance (any radius if there is none).
+        balls = [
+            open_ball(space, a, min((d for d in space.matrix[a] if d > 0), default=1)).members
+            for a in range(n)
+        ]
+        everything = frozenset(range(n))
         all_closed = True
         for A in subsets:
-            o = is_open(space, A)
-            c = is_closed(space, A)
+            # Open and closed by definition, then the library's answers.
+            rest = everything - A
+            o = all(balls[a] <= A for a in A)
+            c = all(balls[a] <= rest for a in rest)
             s = saturate(space, A).members == A
             rec.check(
                 "open_iff_closed_iff_saturated",
-                o == c == s,
+                o == c == s == is_open(space, A) == is_closed(space, A),
                 f"A={sorted(A)} open={o} closed={c} saturated={s}",
                 space=space,
             )
             rec.check(
                 "closure_equals_saturate",
-                closure(space, A).members == saturate(space, A).members,
+                closure(space, A).members
+                == frozenset(x for x in range(n) if any(space.matrix[x][a] == 0 for a in A)),
                 f"A={sorted(A)}",
                 space=space,
             )

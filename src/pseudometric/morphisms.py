@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .core import (
+    Dist,
     PointMap,
     Report,
     Space,
@@ -46,14 +48,20 @@ class IsoSearchStats:
             raise ValueError("stats counters must be non-negative")
 
 
-def is_distance_preserving(m: PointMap) -> bool:
-    """True iff codomain distances of image pairs equal the domain distances."""
-    dm, cm = m.domain.matrix, m.codomain.matrix
+def _distance_mismatches(m: PointMap) -> Iterator[tuple[int, int, Dist, Dist]]:
+    # Every domain pair i < j whose distance the map changes, in row-major
+    # order, as (i, j, domain distance, codomain distance of the images).
+    dm, cm, images = m.domain.matrix, m.codomain.matrix, m.images
     for i in range(m.domain.n):
         for j in range(i + 1, m.domain.n):
-            if cm[m.images[i]][m.images[j]] != dm[i][j]:
-                return False
-    return True
+            got = cm[images[i]][images[j]]
+            if got != dm[i][j]:
+                yield i, j, dm[i][j], got
+
+
+def is_distance_preserving(m: PointMap) -> bool:
+    """True iff codomain distances of image pairs equal the domain distances."""
+    return next(_distance_mismatches(m), None) is None
 
 
 def is_pseudoisometry(m: PointMap) -> Report:
@@ -65,13 +73,10 @@ def is_pseudoisometry(m: PointMap) -> Report:
     Distance violations carry the domain pair and both values; coverage
     violations carry the least index of the missed class.
     """
-    violations: list[Violation] = []
-    dm, cm = m.domain.matrix, m.codomain.matrix
-    for i in range(m.domain.n):
-        for j in range(i + 1, m.domain.n):
-            got = cm[m.images[i]][m.images[j]]
-            if got != dm[i][j]:
-                violations.append(Violation("distance_mismatch", (i, j), (dm[i][j], got)))
+    violations = [
+        Violation("distance_mismatch", (i, j), (want, got))
+        for i, j, want, got in _distance_mismatches(m)
+    ]
     image = set(m.images)
     for block in zero_blocks_unchecked(m.codomain):
         if not block & image:

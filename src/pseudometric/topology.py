@@ -2,9 +2,13 @@
 
 On a finite space the topology degenerates pleasantly: a set is open iff it
 is closed iff it is saturated (a union of zero-distance classes), and the
-closure of ``A`` is exactly the saturation of ``A``. Several predicates here
-are therefore computed by two different routes and cross-checked, which
-keeps the implementation honest.
+closure of ``A`` is exactly the saturation of ``A``. Every set operation and
+predicate here is therefore a read of the space's zero partition
+(:func:`~pseudometric.core.zero_classes`), computed once per space. A matrix
+whose zero pattern is not an equivalence is rejected with ``ValueError``.
+The definitions these reads replace (least open balls, complements, points
+at distance 0) stay as independent checks in the test oracles and the fuzz
+topology suite.
 
 Sequences are represented in eventually periodic form (finite prefix plus a
 repeating cycle); that is enough to witness every convergence phenomenon a
@@ -24,6 +28,7 @@ from .core import (
     class_of,
     members_of,
     saturate,
+    zero_classes,
 )
 
 
@@ -59,77 +64,42 @@ def open_ball(space: Space, center: int, radius: DistLike) -> Subset:
     )
 
 
-def _least_ball(space: Space, a: int) -> frozenset[int]:
-    # Smallest ball around a: radius = least positive distance from a,
-    # or the whole space when every point is at distance 0.
-    positives = [d for d in space.matrix[a] if d > 0]
-    if not positives:
-        return frozenset(range(space.n))
-    return open_ball(space, a, min(positives)).members
-
-
 def is_open(space: Space, A: SetLike) -> bool:
-    """True iff ``A`` is a union of open balls.
-
-    Computed two ways and cross-checked: (i) around every member the
-    smallest ball must stay inside ``A``; (ii) ``A`` equals its saturation.
-    """
+    """True iff ``A`` is a union of open balls, i.e. a union of zero classes."""
     members = members_of(space, A)
-    by_balls = all(_least_ball(space, a) <= members for a in members)
-    by_saturation = saturate(space, members).members == members
-    if by_balls != by_saturation:
-        raise RuntimeError("open-set criteria disagree; input is not a pseudometric")
-    return by_balls
+    part = zero_classes(space)
+    return all(part.block_of(a) <= members for a in members)
+
+
+def is_closed(space: Space, A: SetLike) -> bool:
+    """True iff the complement is open; on a finite space, iff ``A`` is open."""
+    return is_open(space, A)
 
 
 def closure(space: Space, A: SetLike) -> Subset:
     """Points at distance 0 from ``A``: the smallest closed superset.
 
-    Finite-space form of the topological closure; empty for empty ``A``.
-    Coincides with :func:`saturate` on valid spaces.
+    Finite-space form of the topological closure, which is the saturation
+    of ``A``; empty for empty ``A``.
     """
-    members = members_of(space, A)
-    if not members:
-        return Subset(space, frozenset())
-    return Subset(
-        space,
-        frozenset(
-            x for x in range(space.n) if min(space.matrix[x][a] for a in members) == 0
-        ),
-    )
+    return saturate(space, A)
 
 
 def interior(space: Space, A: SetLike) -> Subset:
-    """Complement of the closure of the complement."""
+    """Complement of the closure of the complement: the zero classes inside ``A``."""
     members = members_of(space, A)
-    rest = frozenset(range(space.n)) - members
-    return Subset(space, frozenset(range(space.n)) - closure(space, rest).members)
+    blocks = zero_classes(space).blocks
+    return Subset(space, frozenset().union(*(b for b in blocks if b <= members)))
 
 
 def boundary(space: Space, A: SetLike) -> Subset:
-    """Closure of ``A`` intersected with the closure of its complement.
-
-    Also computed as closure minus interior; the two formulas are asserted
-    equal.
-    """
+    """Closure of ``A`` minus its interior: the zero classes ``A`` splits."""
     members = members_of(space, A)
-    rest = frozenset(range(space.n)) - members
-    fr = closure(space, members).members & closure(space, rest).members
-    alt = closure(space, members).members - interior(space, members).members
-    if fr != alt:
-        raise RuntimeError("boundary formulas disagree")
-    return Subset(space, fr)
-
-
-def is_closed(space: Space, A: SetLike) -> bool:
-    """True iff the complement is open; equivalently iff ``A`` is saturated."""
-    members = members_of(space, A)
-    rest = frozenset(range(space.n)) - members
-    by_complement = is_open(space, rest)
-    by_saturation = saturate(space, members).members == members
-    if by_complement != by_saturation:
-        raise RuntimeError("closed-set criteria disagree; input is not a pseudometric")
-    return by_complement
+    blocks = zero_classes(space).blocks
+    return Subset(
+        space,
+        frozenset().union(*(b for b in blocks if b & members and not b <= members)),
+    )
 
 
 def is_cauchy(seq: EPSequence) -> bool:

@@ -171,6 +171,25 @@ class TestZeroClasses:
         with pytest.raises(ValueError):
             zero_classes(bad)
 
+    def test_nonzero_diagonal_rejected(self):
+        with pytest.raises(ValueError):
+            zero_classes(mk("ab", [[1, 2], [2, 0]]))
+
+    def test_computed_once_and_invisible_to_equality(self):
+        space = mk("abcd", TWO_CLASS.matrix)
+        part = zero_classes(space)
+        assert zero_classes(space) is part
+        assert space == TWO_CLASS and hash(space) == hash(TWO_CLASS)
+        assert repr(space) == repr(TWO_CLASS)
+
+    def test_block_lookup(self):
+        part = zero_classes(TWO_CLASS)
+        assert [part.block_index(i) for i in range(4)] == [0, 0, 1, 1]
+        assert part.block_of(3) == {2, 3}
+        for bad in (-1, 4):
+            with pytest.raises(ValueError):
+                part.block_index(bad)
+
 
 class TestClassOf:
     def test_metric_space_singleton(self):

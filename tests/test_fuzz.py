@@ -21,6 +21,16 @@ def test_run_fuzz_is_deterministic_at_library_level():
     assert a.suites == b.suites
 
 
+def test_seed_seven_summary_is_pinned():
+    assert run_fuzz(seed=7, count=20, max_n=6).summary() == (
+        "fuzz seed=7 count=20 max-n=6 suites=topology,morphisms,constructions\n"
+        "topology: 1103 checks, ok\n"
+        "morphisms: 254 checks, ok\n"
+        "constructions: 360 checks, ok\n"
+        "result: PASS (1717 checks)"
+    )
+
+
 def test_suite_selection():
     report = run_fuzz(seed=1, count=4, max_n=4, suites=("morphisms",))
     assert set(report.suites) == {"morphisms"}

@@ -18,9 +18,11 @@ from pseudometric import (
     is_metric,
     is_open,
     limit_points,
+    metric_reflection,
     open_ball,
     random_space,
     saturate,
+    zero_classes,
 )
 
 from oracles import (
@@ -121,6 +123,12 @@ class TestInteriorBoundary:
         assert boundary(TWO_CLASS, {0}).members == {0, 1}
         assert interior(TWO_CLASS, {0}).members == frozenset()
 
+    def test_boundary_is_closure_minus_interior(self):
+        for space in small_spaces(4):
+            for A in all_subsets(space.n):
+                want = closure(space, A).members - interior(space, A).members
+                assert boundary(space, A).members == want
+
     def test_boundary_against_definition(self):
         for space in small_spaces(3):
             for A in all_subsets(space.n):
@@ -216,3 +224,29 @@ class TestCompletenessCriteria:
     def test_empty_subset_rejected(self):
         with pytest.raises(ValueError):
             closed_via_completeness(TWO_CLASS, frozenset())
+
+
+class TestInvalidZeroPattern:
+    # d(b, a) = 0 but d(a, b) = 1: the zero relation is not symmetric, so
+    # it has no zero classes and every read of them must refuse.
+    ASYMMETRIC = mk("ab", [[0, 1], [0, 0]])
+
+    QUERIES = {
+        "zero_classes": lambda s: zero_classes(s),
+        "saturate": lambda s: saturate(s, {1}),
+        "class_of": lambda s: class_of(s, 0),
+        "metric_reflection": lambda s: metric_reflection(s),
+        "is_open": lambda s: is_open(s, {1}),
+        "is_closed": lambda s: is_closed(s, {1}),
+        "closure": lambda s: closure(s, {1}),
+        "interior": lambda s: interior(s, {1}),
+        "boundary": lambda s: boundary(s, {1}),
+        "complete_via_boundary": lambda s: complete_via_boundary(s, {1}),
+        "closed_via_completeness": lambda s: closed_via_completeness(s, {1}),
+        "limit_points": lambda s: limit_points(EPSequence(s, (), (1,))),
+    }
+
+    @pytest.mark.parametrize("name", list(QUERIES))
+    def test_asymmetric_zero_rejected(self, name):
+        with pytest.raises(ValueError, match="not symmetric"):
+            self.QUERIES[name](self.ASYMMETRIC)
