@@ -15,7 +15,7 @@ import json
 import sys
 
 from .constructions import Embedding, completion_glue, glue_zero_point, in_cec, is_superspace
-from .core import PointMap, Report, Space, format_dist, is_metric
+from .core import PointMap, Space, format_dist, is_metric
 from .document import DocumentError, emit_document, load_space
 from .fuzz import SUITES, run_fuzz
 from .morphisms import (
@@ -28,12 +28,20 @@ from .reflection import metric_reflection
 from .topology import boundary, closure, interior, is_closed, is_open
 
 
-def _require_valid(space: Space, name: str) -> None:
-    report = space.validate()
-    if not report.ok:
-        raise DocumentError(
-            f"not a pseudometric space ({report.violations[0]})", name
-        )
+def _load_valid(*paths: str, require: tuple | None = None) -> list[Space]:
+    """Parse every file, then check each in turn is a pseudometric space.
+
+    ``require`` is an optional ``(predicate, message)`` pair checked on each
+    space right after its own validation.
+    """
+    spaces = [load_space(path) for path in paths]
+    for space, path in zip(spaces, paths):
+        report = space.validate()
+        if not report.ok:
+            raise DocumentError(f"not a pseudometric space ({report.violations[0]})", path)
+        if require is not None and not require[0](space):
+            raise DocumentError(require[1], path)
+    return spaces
 
 
 def _parse_labels(space: Space, text: str) -> frozenset[int]:
@@ -57,30 +65,6 @@ def _parse_embedding(sub: Space, sup: Space, text: str | None) -> PointMap:
     return PointMap(sub, sup, tuple(images))
 
 
-def _render_violations(space: Space, report: Report) -> list[str]:
-    lines = []
-    for v in report.violations:
-        pts = ",".join(space.labels[i] for i in v.points)
-        vals = ", ".join(format_dist(x) for x in v.values)
-        lines.append(f"{v.rule} at ({pts})" + (f": {vals}" if vals else ""))
-    return lines
-
-
-def _structured(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _subset_str(space: Space, members: frozenset[int]) -> str:
-    return "{" + ", ".join(space.labels[i] for i in sorted(members)) + "}"
-
-
-def _map_lines(m: PointMap) -> list[str]:
-    return [
-        f"{m.domain.labels[i]} -> {m.codomain.labels[m.images[i]]}"
-        for i in range(m.domain.n)
-    ]
-
-
 def _map_payload(m: PointMap) -> dict:
     return {
         m.domain.labels[i]: m.codomain.labels[m.images[i]] for i in range(m.domain.n)
@@ -94,206 +78,152 @@ def _doc_payload(space: Space) -> dict:
     }
 
 
-def _cmd_validate(args) -> int:
+# Each command returns (exit code, structured payload, plain lines); a payload
+# of None means the plain lines are printed in both formats.
+Result = tuple[int, dict | None, list[str]]
+
+
+def _cmd_validate(args) -> Result:
     space = load_space(args.file)
     report = space.validate()
-    if args.format == "structured":
-        payload = {
-            "ok": report.ok,
-            "violations": [
-                {
-                    "rule": v.rule,
-                    "points": [space.labels[i] for i in v.points],
-                    "values": [format_dist(x) for x in v.values],
-                }
-                for v in report.violations
-            ],
-        }
-        if report.ok:
-            payload["metric"] = is_metric(space)
-        _structured(payload)
-    elif report.ok:
-        print("ok" + (" (metric)" if is_metric(space) else " (pseudometric, not metric)"))
-    else:
-        print(f"not a pseudometric: {len(report.violations)} violation(s)")
-        for line in _render_violations(space, report):
-            print(line)
-    return 0 if report.ok else 1
-
-
-def _cmd_reflect(args) -> int:
-    space = load_space(args.file)
-    _require_valid(space, args.file)
-    if space.n == 0:
-        raise DocumentError("metric reflection requires a nonempty space", args.file)
-    refl = metric_reflection(space)
-    if args.format == "structured":
-        _structured(
-            {
-                "quotient": _doc_payload(refl.quotient),
-                "projection": _map_payload(refl.projection),
-            }
-        )
-    else:
-        print(emit_document(refl.quotient), end="")
-        print()
-        print("projection:")
-        for line in _map_lines(refl.projection):
-            print(f"  {line}")
-    return 0
-
-
-_TOPOLOGY_OPS = ("closure", "interior", "boundary", "is-open", "is-closed")
-
-
-def _cmd_topology(args) -> int:
-    space = load_space(args.file)
-    _require_valid(space, args.file)
-    members = _parse_labels(space, args.set)
-    results: dict[str, object] = {}
-    ops = [args.op] if args.op else list(_TOPOLOGY_OPS)
-    for op in ops:
-        if op == "closure":
-            results[op] = closure(space, members).members
-        elif op == "interior":
-            results[op] = interior(space, members).members
-        elif op == "boundary":
-            results[op] = boundary(space, members).members
-        elif op == "is-open":
-            results[op] = is_open(space, members)
-        else:
-            results[op] = is_closed(space, members)
-    if args.format == "structured":
-        _structured(
-            {
-                op: (
-                    sorted(space.labels[i] for i in val)
-                    if isinstance(val, frozenset)
-                    else val
-                )
-                for op, val in results.items()
-            }
-        )
-    else:
-        for op, val in results.items():
-            if isinstance(val, frozenset):
-                print(f"{op}: {_subset_str(space, val)}")
-            else:
-                print(f"{op}: {'true' if val else 'false'}")
-    if args.op and isinstance(results[args.op], bool):
-        return 0 if results[args.op] else 1
-    return 0
-
-
-def _emit_witness(args, m: PointMap | None, extra: dict | None = None) -> int:
-    if args.format == "structured":
-        payload = {"found": m is not None, "map": _map_payload(m) if m else None}
-        payload.update(extra or {})
-        _structured(payload)
-    elif m is None:
-        print("none")
-    else:
-        for line in _map_lines(m):
-            print(line)
-    return 0 if m is not None else 1
-
-
-def _cmd_isometric(args) -> int:
-    s1 = load_space(args.file1)
-    s2 = load_space(args.file2)
-    for space, name in ((s1, args.file1), (s2, args.file2)):
-        _require_valid(space, name)
-        if not is_metric(space):
-            raise DocumentError("isometry search requires a metric space", name)
-    witness, stats = find_isometry(s1, s2)
-    return _emit_witness(
-        args,
-        witness,
+    violations = [
         {
-            "stats": {
-                "nodes": stats.nodes,
-                "signature_prunes": stats.signature_prunes,
-                "distance_checks": stats.distance_checks,
-            }
+            "rule": v.rule,
+            "points": [space.labels[i] for i in v.points],
+            "values": [format_dist(x) for x in v.values],
+        }
+        for v in report.violations
+    ]
+    payload = {"ok": report.ok, "violations": violations}
+    if report.ok:
+        payload["metric"] = is_metric(space)
+        lines = ["ok" + (" (metric)" if payload["metric"] else " (pseudometric, not metric)")]
+    else:
+        lines = [f"not a pseudometric: {len(violations)} violation(s)"] + [
+            f"{v['rule']} at ({','.join(v['points'])})"
+            + (f": {', '.join(v['values'])}" if v["values"] else "")
+            for v in violations
+        ]
+    return (0 if report.ok else 1), payload, lines
+
+
+def _cmd_reflect(args) -> Result:
+    (space,) = _load_valid(
+        args.file, require=(lambda s: s.n > 0, "metric reflection requires a nonempty space")
+    )
+    refl = metric_reflection(space)
+    projection = _map_payload(refl.projection)
+    lines = [emit_document(refl.quotient).rstrip("\n"), "", "projection:"]
+    lines += [f"  {a} -> {b}" for a, b in projection.items()]
+    return 0, {"quotient": _doc_payload(refl.quotient), "projection": projection}, lines
+
+
+# Lambdas look the functions up at call time, so a caller that rebinds this
+# module's names (the per-layer tracer in perfbench) still sees every call.
+_TOPOLOGY_OPS = {
+    "closure": lambda s, a: closure(s, a).members,
+    "interior": lambda s, a: interior(s, a).members,
+    "boundary": lambda s, a: boundary(s, a).members,
+    "is-open": lambda s, a: is_open(s, a),
+    "is-closed": lambda s, a: is_closed(s, a),
+}
+
+
+def _cmd_topology(args) -> Result:
+    (space,) = _load_valid(args.file)
+    members = _parse_labels(space, args.set)
+    ops = [args.op] if args.op else list(_TOPOLOGY_OPS)
+    results = {op: _TOPOLOGY_OPS[op](space, members) for op in ops}
+    payload: dict[str, object] = {}
+    lines = []
+    for op, val in results.items():
+        if isinstance(val, frozenset):
+            payload[op] = sorted(space.labels[i] for i in val)
+            text = "{" + ", ".join(space.labels[i] for i in sorted(val)) + "}"
+        else:
+            payload[op] = val
+            text = "true" if val else "false"
+        lines.append(f"{op}: {text}")
+    return (1 if results.get(args.op) is False else 0), payload, lines
+
+
+def _witness(m: PointMap | None, **extra) -> Result:
+    if m is None:
+        return 1, {"found": False, "map": None, **extra}, ["none"]
+    mapping = _map_payload(m)
+    lines = [f"{a} -> {b}" for a, b in mapping.items()]
+    return 0, {"found": True, "map": mapping, **extra}, lines
+
+
+def _cmd_isometric(args) -> Result:
+    s1, s2 = _load_valid(
+        args.file1, args.file2, require=(is_metric, "isometry search requires a metric space")
+    )
+    witness, stats = find_isometry(s1, s2)
+    return _witness(
+        witness,
+        stats={
+            "nodes": stats.nodes,
+            "signature_prunes": stats.signature_prunes,
+            "distance_checks": stats.distance_checks,
         },
     )
 
 
-def _cmd_pseudoisometric(args) -> int:
-    s1 = load_space(args.file1)
-    s2 = load_space(args.file2)
-    for space, name in ((s1, args.file1), (s2, args.file2)):
-        _require_valid(space, name)
-        if space.n == 0:
-            raise DocumentError("pseudoisometry requires nonempty spaces", name)
-    if args.oracle:
-        witness = brute_force_pseudoisometry(s1, s2)
-    else:
-        witness = are_pseudoisometric(s1, s2)
-    return _emit_witness(args, witness)
+def _cmd_pseudoisometric(args) -> Result:
+    s1, s2 = _load_valid(
+        args.file1,
+        args.file2,
+        require=(lambda s: s.n > 0, "pseudoisometry requires nonempty spaces"),
+    )
+    search = brute_force_pseudoisometry if args.oracle else are_pseudoisometric
+    return _witness(search(s1, s2))
 
 
-def _cmd_cec(args) -> int:
-    sub = load_space(args.subfile)
-    sup = load_space(args.superfile)
-    _require_valid(sub, args.subfile)
-    _require_valid(sup, args.superfile)
-    inclusion = _parse_embedding(sub, sup, args.embedding)
-    e = Embedding(sub, sup, inclusion)
+def _cmd_cec(args) -> Result:
+    sub, sup = _load_valid(args.subfile, args.superfile)
+    e = Embedding(sub, sup, _parse_embedding(sub, sup, args.embedding))
     if not is_superspace(e):
         raise DocumentError("embedding is not distance-preserving and injective", args.superfile)
     member = in_cec(e)
-    if args.format == "structured":
-        _structured({"superspace": True, "in_cec": member})
-    else:
-        print("in CEC" if member else "not in CEC")
-    return 0 if member else 1
+    lines = ["in CEC" if member else "not in CEC"]
+    return (0 if member else 1), {"superspace": True, "in_cec": member}, lines
 
 
-def _cmd_glue_zero(args) -> int:
-    space = load_space(args.file)
-    _require_valid(space, args.file)
+def _cmd_glue_zero(args) -> Result:
+    (space,) = _load_valid(args.file)
     glued = glue_zero_point(space, space.index(args.center), args.label)
-    print(emit_document(glued.sup), end="")
-    return 0
+    return 0, None, [emit_document(glued.sup).rstrip("\n")]
 
 
-def _cmd_complete_glue(args) -> int:
-    y = load_space(args.yfile)
-    ystar = load_space(args.ystarfile)
-    _require_valid(y, args.yfile)
-    _require_valid(ystar, args.ystarfile)
+def _cmd_complete_glue(args) -> Result:
+    y, ystar = _load_valid(args.yfile, args.ystarfile)
     if y.n == 0:
         raise DocumentError("completion gluing requires a nonempty space", args.yfile)
     quotient = metric_reflection(y).quotient
     embedding = _parse_embedding(quotient, ystar, args.embedding)
     glued = completion_glue(y, ystar, embedding)
-    print(emit_document(glued.sup), end="")
-    return 0
+    return 0, None, [emit_document(glued.sup).rstrip("\n")]
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args) -> Result:
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = run_fuzz(args.seed, args.count, max_n=args.max_n, suites=suites)
-    if args.format == "structured":
-        payload = {
-            "seed": report.seed,
-            "count": report.count,
-            "max_n": report.max_n,
-            "suites": report.suites,
-            "ok": report.ok,
+    payload = {
+        "seed": report.seed,
+        "count": report.count,
+        "max_n": report.max_n,
+        "suites": report.suites,
+        "ok": report.ok,
+    }
+    if report.failure is not None:
+        payload["counterexample"] = {
+            "suite": report.failure.suite,
+            "check": report.failure.check,
+            "detail": report.failure.detail,
+            "documents": report.failure.documents,
         }
-        if report.failure is not None:
-            payload["counterexample"] = {
-                "suite": report.failure.suite,
-                "check": report.failure.check,
-                "detail": report.failure.detail,
-                "documents": report.failure.documents,
-            }
-        _structured(payload)
-    else:
-        print(report.summary())
-    return 0 if report.ok else 1
+    return (0 if report.ok else 1), payload, [report.summary()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -369,16 +299,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
-    except DocumentError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        code, payload, lines = args.func(args)
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if payload is not None and args.format == "structured":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -311,12 +311,11 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
 
 
 def is_metric(space: Space) -> bool:
-    """True iff all distances between distinct points are positive."""
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if space.matrix[i][j] == 0:
-                return False
-    return True
+    """True iff all distances between distinct points are positive.
+
+    Read from the zero partition: every zero class is a single point.
+    """
+    return len(zero_classes(space).blocks) == space.n
 
 
 def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:

@@ -57,6 +57,8 @@ def parse_document(text: str) -> Space:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentError(e.msg, f"line {e.lineno}, column {e.colno}") from None
+    except RecursionError:
+        raise DocumentError("document nests too deeply", "$") from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object", "$")
     extra = set(data) - {"points", "d"}

@@ -235,11 +235,13 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
             else:
                 cycle = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
             seq = EPSequence(space, prefix, cycle)
-            cauchy = is_cauchy(seq)
+            # Cauchy by the definition: cycle points pairwise at distance 0.
+            cauchy = all(space.matrix[a][b] == 0 for a in cycle for b in cycle)
             limits = limit_points(seq).members
             rec.check(
                 "cauchy_limits_are_a_zero_class",
-                limits == (class_of(space, cycle[0]).members if cauchy else frozenset()),
+                is_cauchy(seq) == cauchy
+                and limits == (class_of(space, cycle[0]).members if cauchy else frozenset()),
                 f"prefix={prefix} cycle={cycle}",
                 space=space,
             )
@@ -506,6 +508,10 @@ def run_fuzz(
     seed: int, count: int, max_n: int = 6, suites: tuple[str, ...] = SUITES
 ) -> FuzzReport:
     """Run the selected invariant suites on ``count`` instances each."""
+    if count < 0:
+        raise ValueError(f"count must be at least 0, got {count}")
+    if max_n < 1:
+        raise ValueError(f"max_n must be at least 1, got {max_n}")
     report = FuzzReport(seed=seed, count=count, max_n=max_n)
     for name in SUITES:
         if name not in suites:

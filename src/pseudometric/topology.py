@@ -3,9 +3,10 @@
 On a finite space the topology degenerates pleasantly: a set is open iff it
 is closed iff it is saturated (a union of zero-distance classes), and the
 closure of ``A`` is exactly the saturation of ``A``. Every set operation and
-predicate here is therefore a read of the space's zero partition
-(:func:`~pseudometric.core.zero_classes`), computed once per space. A matrix
-whose zero pattern is not an equivalence is rejected with ``ValueError``.
+predicate here, the sequence predicates included, is therefore a read of the
+space's zero partition (:func:`~pseudometric.core.zero_classes`), computed
+once per space. A matrix whose zero pattern is not an equivalence is
+rejected with ``ValueError``.
 The definitions these reads replace (least open balls, complements, points
 at distance 0) stay as independent checks in the test oracles and the fuzz
 topology suite.
@@ -106,13 +107,12 @@ def is_cauchy(seq: EPSequence) -> bool:
     """True iff the tail of the sequence stays in arbitrarily small balls.
 
     For an eventually periodic sequence this holds exactly when all cycle
-    points are pairwise at distance 0: any positive distance between two
-    cycle points recurs forever and refutes the condition at radius half
-    that distance.
+    points are pairwise at distance 0, that is, in one zero class: any
+    positive distance between two cycle points recurs forever and refutes
+    the condition at radius half that distance.
     """
-    m = seq.space.matrix
-    cyc = seq.cycle
-    return all(m[cyc[i]][cyc[j]] == 0 for i in range(len(cyc)) for j in range(i + 1, len(cyc)))
+    part = zero_classes(seq.space)
+    return len({part.block_index(i) for i in seq.cycle}) == 1
 
 
 def limit_points(seq: EPSequence) -> Subset:

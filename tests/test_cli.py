@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,34 @@ BROKEN = """{
 }
 """
 
+# Labels out of alphabetical order: structured output sorts label lists,
+# plain output keeps index order.
+UNSORTED = """{
+  "points": ["z", "a", "m"],
+  "d": [
+    ["0", "0", "1"],
+    ["0", "0", "1"],
+    ["1", "1", "0"]
+  ]
+}
+"""
+
+PAIR_SUPERSPACE = """{
+  "points": ["a", "b", "z"],
+  "d": [
+    ["0", "1", "2"],
+    ["1", "0", "2"],
+    ["2", "2", "0"]
+  ]
+}
+"""
+
+EMPTY = """{
+  "points": [],
+  "d": []
+}
+"""
+
 
 @pytest.fixture
 def docs(tmp_path):
@@ -55,6 +84,9 @@ def docs(tmp_path):
         "far": FAR_PAIR,
         "classes": TWO_CLASS,
         "broken": BROKEN,
+        "unsorted": UNSORTED,
+        "sup": PAIR_SUPERSPACE,
+        "empty": EMPTY,
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text, encoding="utf-8")
@@ -86,6 +118,16 @@ class TestValidate:
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/nope.json"]) == 2
+
+    def test_deep_nesting_exits_two_without_traceback(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000, encoding="utf-8")
+        assert main(["validate", str(deep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        assert "Traceback" not in captured.err
 
     def test_structured_output(self, docs, capsys):
         assert main(["validate", docs["classes"], "--format", "structured"]) == 0
@@ -262,6 +304,19 @@ class TestFuzzCommand:
         assert payload["ok"] is True
         assert set(payload["suites"]) == {"topology", "morphisms", "constructions"}
 
+    @pytest.mark.parametrize(
+        "count, max_n, message",
+        [
+            ("-5", "6", "count must be at least 0, got -5"),
+            ("1", "0", "max_n must be at least 1, got 0"),
+        ],
+    )
+    def test_meaningless_size_exits_two(self, count, max_n, message, capsys):
+        assert main(["fuzz", "--count", count, "--max-n", max_n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 def test_module_entry_point(tmp_path):
     doc = tmp_path / "s.json"
@@ -277,3 +332,175 @@ def test_module_entry_point(tmp_path):
 
 def test_usage_error_exits_two():
     assert main(["no-such-command"]) == 2
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _both(code: int, out: str, err: str):
+    return (code, out, err), (code, out, err)
+
+
+# Exact exit code, stdout and stderr for each command line, with
+# --format plain and then --format structured; files are the `docs` fixture
+# names, relative to its directory.
+PINNED = {
+    "validate pair.json": (
+        (0, "ok (metric)\n", ""),
+        (0, _json({"metric": True, "ok": True, "violations": []}), ""),
+    ),
+    "validate classes.json": (
+        (0, "ok (pseudometric, not metric)\n", ""),
+        (0, _json({"metric": False, "ok": True, "violations": []}), ""),
+    ),
+    "validate broken.json": (
+        (
+            1,
+            "not a pseudometric: 2 violation(s)\n"
+            "triangle at (b,a,c): 3, 1, 1\n"
+            "triangle at (c,a,b): 3, 1, 1\n",
+            "",
+        ),
+        (
+            1,
+            _json(
+                {
+                    "ok": False,
+                    "violations": [
+                        {"points": ["b", "a", "c"], "rule": "triangle", "values": ["3", "1", "1"]},
+                        {"points": ["c", "a", "b"], "rule": "triangle", "values": ["3", "1", "1"]},
+                    ],
+                }
+            ),
+            "",
+        ),
+    ),
+    "reflect classes.json": (
+        (
+            0,
+            '{\n  "points": ["a", "c"],\n  "d": [\n    ["0", "1"],\n    ["1", "0"]\n  ]\n}\n'
+            "\nprojection:\n  a -> a\n  b -> a\n  c -> c\n  d -> c\n",
+            "",
+        ),
+        (
+            0,
+            _json(
+                {
+                    "projection": {"a": "a", "b": "a", "c": "c", "d": "c"},
+                    "quotient": {"d": [["0", "1"], ["1", "0"]], "points": ["a", "c"]},
+                }
+            ),
+            "",
+        ),
+    ),
+    # Plain lists labels in index order, structured sorts them.
+    "topology unsorted.json --set z": (
+        (
+            0,
+            "closure: {z, a}\ninterior: {}\nboundary: {z, a}\nis-open: false\nis-closed: false\n",
+            "",
+        ),
+        (
+            0,
+            _json(
+                {
+                    "boundary": ["a", "z"],
+                    "closure": ["a", "z"],
+                    "interior": [],
+                    "is-closed": False,
+                    "is-open": False,
+                }
+            ),
+            "",
+        ),
+    ),
+    "topology classes.json --set a --op is-open": (
+        (1, "is-open: false\n", ""),
+        (1, _json({"is-open": False}), ""),
+    ),
+    "isometric pair.json pair.json": (
+        (0, "a -> a\nb -> b\n", ""),
+        (
+            0,
+            _json(
+                {
+                    "found": True,
+                    "map": {"a": "a", "b": "b"},
+                    "stats": {"distance_checks": 1, "nodes": 2, "signature_prunes": 0},
+                }
+            ),
+            "",
+        ),
+    ),
+    "isometric pair.json far.json": (
+        (1, "none\n", ""),
+        (
+            1,
+            _json(
+                {
+                    "found": False,
+                    "map": None,
+                    "stats": {"distance_checks": 0, "nodes": 0, "signature_prunes": 4},
+                }
+            ),
+            "",
+        ),
+    ),
+    "pseudoisometric classes.json pair.json": (
+        (0, "a -> a\nb -> a\nc -> b\nd -> b\n", ""),
+        (0, _json({"found": True, "map": {"a": "a", "b": "a", "c": "b", "d": "b"}}), ""),
+    ),
+    "pseudoisometric pair.json far.json --oracle": (
+        (1, "none\n", ""),
+        (1, _json({"found": False, "map": None}), ""),
+    ),
+    "cec pair.json sup.json": (
+        (0, "in CEC\n", ""),
+        (0, _json({"in_cec": True, "superspace": True}), ""),
+    ),
+    # The gluing commands print the canonical document in both formats.
+    "glue-zero pair.json --center a --label y0": _both(
+        0,
+        '{\n  "points": ["a", "b", "y0"],\n  "d": [\n'
+        '    ["0", "1", "0"],\n    ["1", "0", "1"],\n    ["0", "1", "0"]\n  ]\n}\n',
+        "",
+    ),
+    "complete-glue classes.json pair.json --embedding a=a,c=b": _both(0, TWO_CLASS, ""),
+    "fuzz --seed 2 --count 3 --max-n 4 --suite topology": (
+        (
+            0,
+            "fuzz seed=2 count=3 max-n=4 suites=topology\n"
+            "topology: 175 checks, ok\nresult: PASS (175 checks)\n",
+            "",
+        ),
+        (
+            0,
+            _json({"count": 3, "max_n": 4, "ok": True, "seed": 2, "suites": {"topology": 175}}),
+            "",
+        ),
+    ),
+    # Both files are broken: each file's own checks run in turn after both
+    # are parsed, so the first file's problem is the one reported.
+    "isometric classes.json broken.json": _both(
+        2, "", "error: classes.json: isometry search requires a metric space\n"
+    ),
+    "pseudoisometric empty.json broken.json": _both(
+        2, "", "error: empty.json: pseudoisometry requires nonempty spaces\n"
+    ),
+    "cec broken.json broken.json": _both(
+        2, "", "error: broken.json: not a pseudometric space (triangle at (1,0,2): 3, 1, 1)\n"
+    ),
+    "isometric broken.json missing.json": _both(
+        2, "", "error: missing.json: [Errno 2] No such file or directory: 'missing.json'\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("argv", list(PINNED))
+def test_output_is_pinned(docs, monkeypatch, capsys, argv, fmt):
+    monkeypatch.chdir(Path(docs["pair"]).parent)
+    code = main(argv.split() + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == PINNED[argv][fmt == "structured"]

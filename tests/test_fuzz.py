@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from pseudometric import (
     GenParams,
     emit_document,
@@ -83,3 +85,12 @@ def test_oracle_cap_maps_to_exit_code_three(tmp_path):
     doc = tmp_path / "big.json"
     doc.write_text(emit_document(big), encoding="utf-8")
     assert main(["pseudoisometric", str(doc), str(doc), "--oracle"]) == 3
+
+
+@pytest.mark.parametrize(
+    "count, max_n, message",
+    [(-5, 6, "count must be at least 0, got -5"), (1, 0, "max_n must be at least 1, got 0")],
+)
+def test_meaningless_size_rejected(count, max_n, message):
+    with pytest.raises(ValueError, match=message):
+        run_fuzz(seed=0, count=count, max_n=max_n)

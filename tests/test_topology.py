@@ -12,6 +12,7 @@ from pseudometric import (
     closed_via_completeness,
     closure,
     complete_via_boundary,
+    find_isometry,
     interior,
     is_cauchy,
     is_closed,
@@ -244,6 +245,9 @@ class TestInvalidZeroPattern:
         "complete_via_boundary": lambda s: complete_via_boundary(s, {1}),
         "closed_via_completeness": lambda s: closed_via_completeness(s, {1}),
         "limit_points": lambda s: limit_points(EPSequence(s, (), (1,))),
+        "is_metric": lambda s: is_metric(s),
+        "find_isometry": lambda s: find_isometry(s, s),
+        "is_cauchy": lambda s: is_cauchy(EPSequence(s, (), (0, 1))),
     }
 
     @pytest.mark.parametrize("name", list(QUERIES))
