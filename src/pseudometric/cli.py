@@ -5,17 +5,19 @@ topology queries, isometry and pseudoisometry search, superspace class
 membership, both gluing constructions, and the randomized invariant suites.
 
 Exit codes: 0 success / predicate true / witness found; 1 predicate false /
-no witness / property refuted; 2 invalid input; 3 resource cap exceeded.
+no witness / property refuted; 2 invalid input; 3 resource cap exceeded or out
+of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .constructions import Embedding, completion_glue, glue_zero_point, in_cec, is_superspace
-from .core import PointMap, Space, format_dist, is_metric
+from .core import PointMap, Space, Violation, format_dist, is_metric
 from .document import DocumentError, emit_document, load_space
 from .fuzz import SUITES, run_fuzz
 from .morphisms import (
@@ -38,10 +40,16 @@ def _load_valid(*paths: str, require: tuple | None = None) -> list[Space]:
     for space, path in zip(spaces, paths):
         report = space.validate()
         if not report.ok:
-            raise DocumentError(f"not a pseudometric space ({report.violations[0]})", path)
+            first = _violation_text(space, report.violations[0])
+            raise DocumentError(f"not a pseudometric space ({first})", path)
         if require is not None and not require[0](space):
             raise DocumentError(require[1], path)
     return spaces
+
+
+def _violation_text(space: Space, v: Violation) -> str:
+    text = f"{v.rule} at ({','.join(space.labels[i] for i in v.points)})"
+    return text + (f": {', '.join(map(format_dist, v.values))}" if v.values else "")
 
 
 def _parse_labels(space: Space, text: str) -> frozenset[int]:
@@ -99,11 +107,8 @@ def _cmd_validate(args) -> Result:
         payload["metric"] = is_metric(space)
         lines = ["ok" + (" (metric)" if payload["metric"] else " (pseudometric, not metric)")]
     else:
-        lines = [f"not a pseudometric: {len(violations)} violation(s)"] + [
-            f"{v['rule']} at ({','.join(v['points'])})"
-            + (f": {', '.join(v['values'])}" if v["values"] else "")
-            for v in violations
-        ]
+        lines = [f"not a pseudometric: {len(violations)} violation(s)"]
+        lines += [_violation_text(space, v) for v in report.violations]
     return (0 if report.ok else 1), payload, lines
 
 
@@ -160,14 +165,7 @@ def _cmd_isometric(args) -> Result:
         args.file1, args.file2, require=(is_metric, "isometry search requires a metric space")
     )
     witness, stats = find_isometry(s1, s2)
-    return _witness(
-        witness,
-        stats={
-            "nodes": stats.nodes,
-            "signature_prunes": stats.signature_prunes,
-            "distance_checks": stats.distance_checks,
-        },
-    )
+    return _witness(witness, stats=dataclasses.asdict(stats))
 
 
 def _cmd_pseudoisometric(args) -> Result:
@@ -300,8 +298,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         code, payload, lines = args.func(args)
-    except ResourceLimitError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ResourceLimitError, MemoryError) as e:
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

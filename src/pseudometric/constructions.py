@@ -21,6 +21,7 @@ from .core import (
     Dist,
     PointMap,
     Space,
+    _pullback,
     as_dist,
     is_metric,
     members_of,
@@ -109,17 +110,19 @@ def glue_zero_point(x: Space, x0: int, label: str) -> Embedding:
         raise ValueError(f"point index {x0} out of range")
     if label in x.labels:
         raise ValueError(f"label {label!r} already used")
-    new_row = tuple(x.matrix[x0]) + (Fraction(0),)
-    rows = tuple(x.matrix[i] + (x.matrix[x0][i],) for i in range(x.n)) + (new_row,)
-    sup = Space(x.labels + (label,), rows)
+    sup = Space(x.labels + (label,), _pullback(x.matrix, [*range(x.n), x0]))
     return Embedding(x, sup, PointMap(x, sup, tuple(range(x.n))))
 
 
-def _fresh_label(base: str, used: set[str]) -> str:
-    label = base
-    while label in used:
-        label += "*"
-    return label
+def _extend_labels(labels: tuple[str, ...], bases: list[str]) -> tuple[str, ...]:
+    # Append each base label, suffixed with "*" until it is unused.
+    out, used = list(labels), set(labels)
+    for label in bases:
+        while label in used:
+            label += "*"
+        used.add(label)
+        out.append(label)
+    return tuple(out)
 
 
 def completion_glue(y: Space, ystar: Space, refl_embedding: PointMap) -> Embedding:
@@ -157,18 +160,8 @@ def completion_glue(y: Space, ystar: Space, refl_embedding: PointMap) -> Embeddi
     proxy = [refl_embedding.images[refl.projection.images[i]] for i in range(y.n)]
     proxy += new_points
 
-    used = set(y.labels)
-    labels = list(y.labels)
-    for q in new_points:
-        lab = _fresh_label(ystar.labels[q], used)
-        used.add(lab)
-        labels.append(lab)
-
-    n = len(proxy)
-    rows = tuple(
-        tuple(ystar.matrix[proxy[i]][proxy[j]] for j in range(n)) for i in range(n)
-    )
-    glued = Space(tuple(labels), rows)
+    labels = _extend_labels(y.labels, [ystar.labels[q] for q in new_points])
+    glued = Space(labels, _pullback(ystar.matrix, proxy))
     return Embedding(y, glued, PointMap(y, glued, tuple(range(y.n))))
 
 
@@ -216,15 +209,14 @@ def _shortest_path_repair(rows: list[list[Dist]]) -> None:
                     rows[i][j] = via
 
 
-def _pad_with_clones(rows: list[list[Dist]], total: int, rng: random.Random) -> None:
-    # Grow a square matrix in place to ``total`` points; each new point is a
+def _clone_points(n: int, total: int, rng: random.Random) -> list[int]:
+    # Index list that grows n points to ``total``; each new point is a
     # zero-distance clone of a uniformly drawn earlier point (one randrange
     # per new point, in order, so seeded outputs stay fixed).
-    for i in range(len(rows), total):
-        src = rng.randrange(i)
-        for row in rows:
-            row.append(row[src])
-        rows.append([rows[j][src] for j in range(i)] + [Fraction(0)])
+    points = list(range(n))
+    for i in range(n, total):
+        points.append(points[rng.randrange(i)])
+    return points
 
 
 def random_space(p: GenParams) -> Space:
@@ -247,9 +239,8 @@ def random_space(p: GenParams) -> Space:
         for j in range(i + 1, base):
             rows[i][j] = rows[j][i] = _draw_entry(rng, p.max_entry)
     _shortest_path_repair(rows)
-    _pad_with_clones(rows, p.n, rng)
-    labels = tuple(f"p{i}" for i in range(p.n))
-    return Space(labels, tuple(tuple(r) for r in rows))
+    points = _clone_points(base, p.n, rng)
+    return Space(tuple(f"p{i}" for i in range(p.n)), _pullback(rows, points))
 
 
 def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> Embedding:
@@ -302,11 +293,6 @@ def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> Embedd
             d = radii[u] + radii[v] + y.matrix[anchors[u]][anchors[v]]
             rows[y.n + u][y.n + v] = rows[y.n + v][y.n + u] = d
 
-    used = set(y.labels)
-    labels = list(y.labels)
-    for u in range(k):
-        lab = _fresh_label(f"q{u}", used)
-        used.add(lab)
-        labels.append(lab)
-    sup = Space(tuple(labels), tuple(tuple(r) for r in rows))
+    labels = _extend_labels(y.labels, [f"q{u}" for u in range(k)])
+    sup = Space(labels, tuple(tuple(r) for r in rows))
     return Embedding(y, sup, PointMap(y, sup, tuple(range(y.n))))

@@ -255,6 +255,13 @@ class PointMap:
         return cls(space, space, tuple(range(space.n)))
 
 
+def _pullback(rows: Sequence[Sequence[Dist]], points: list[int]) -> tuple[tuple[Dist, ...], ...]:
+    # The matrix read through an index list: entry (i, j) is
+    # rows[points[i]][points[j]]. Quotients, twins, clones, gluings and
+    # permuted copies are all of this form.
+    return tuple(tuple(rows[p][q] for q in points) for p in points)
+
+
 def _raw_rational(value: object, where: str) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"entry {where} is a float; distances must be exact rationals")

@@ -44,7 +44,10 @@ def parse_dist_literal(text: str, where: str = "value") -> Dist:
     m = _LITERAL.match(text)
     if not m:
         raise DocumentError(f"invalid distance literal {text!r}", where)
-    return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    try:
+        return Fraction(int(m.group(1)), int(m.group(2) or 1))
+    except ValueError:  # the interpreter's limit on digits per integer
+        raise DocumentError(f"distance literal too long ({len(text)} characters)", where) from None
 
 
 def parse_document(text: str) -> Space:

@@ -20,7 +20,7 @@ from typing import Iterator
 from .constructions import (
     Embedding,
     GenParams,
-    _pad_with_clones,
+    _clone_points,
     check_cec_minimality,
     completion_glue,
     glue_zero_point,
@@ -29,7 +29,7 @@ from .constructions import (
     random_space,
     random_superspace,
 )
-from .core import PointMap, Space, class_of, is_metric, saturate, validate_pseudometric
+from .core import PointMap, Space, _pullback, class_of, is_metric, saturate, validate_pseudometric
 from .document import emit_document
 from .morphisms import (
     are_pseudoisometric,
@@ -138,20 +138,16 @@ def _subsets_to_try(rng: random.Random, n: int) -> list[frozenset[int]]:
 
 def _with_clones(base: Space, total: int, rng: random.Random) -> Space:
     """Pad a space with zero-distance clones of random points up to ``total``."""
-    rows = [list(r) for r in base.matrix]
-    _pad_with_clones(rows, total, rng)
+    points = _clone_points(base.n, total, rng)
     labels = base.labels + tuple(f"c{i}" for i in range(base.n, total))
-    return Space(labels, tuple(tuple(r) for r in rows))
+    return Space(labels, _pullback(base.matrix, points))
 
 
 def _permuted_twin(space: Space, rng: random.Random) -> tuple[Space, PointMap]:
     """A relabeled-and-reordered copy plus the isometry onto it."""
     sigma = list(range(space.n))
     rng.shuffle(sigma)
-    twin = Space(
-        tuple(f"t{i}" for i in range(space.n)),
-        tuple(tuple(space.matrix[sigma[i]][sigma[j]] for j in range(space.n)) for i in range(space.n)),
-    )
+    twin = Space(tuple(f"t{i}" for i in range(space.n)), _pullback(space.matrix, sigma))
     images = [0] * space.n
     for new, old in enumerate(sigma):
         images[old] = new
@@ -379,9 +375,6 @@ def _run_morphisms(rec: _Recorder, rng: random.Random, count: int, max_n: int) -
                 y=y,
             )
         if witness is not None and len(set(witness.images)) == y.n == x.n:
-            inverse = [0] * y.n
-            for i, j in enumerate(witness.images):
-                inverse[j] = i
             ok = True
             for mask in range(1 << x.n):
                 A = frozenset(i for i in range(x.n) if mask >> i & 1)

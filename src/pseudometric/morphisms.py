@@ -98,26 +98,18 @@ def induced_reflection_map(phi: PointMap) -> PointMap:
     """The isometry between metric reflections induced by a pseudoisometry.
 
     Zero-distance classes map to zero-distance classes, so sending the class
-    of ``x`` to the class of ``phi(x)`` is well defined; the resulting map
-    between the quotients makes the projection square commute and is always
-    a metric isometry. Both facts are verified before returning.
+    of ``x`` to the class of ``phi(x)`` is well defined: the map is the
+    composite of the domain's section, ``phi`` and the codomain's
+    projection. It makes the projection square commute and is always a
+    metric isometry; the fuzz morphisms suite and the acceptance tests check
+    both facts independently of this construction.
     """
     report = is_pseudoisometry(phi)
     if not report.ok:
         raise ValueError(f"map is not a pseudoisometry: {report.violations[0]}")
     rx = metric_reflection(phi.domain)
     ry = metric_reflection(phi.codomain)
-    images = tuple(
-        ry.projection.images[phi.images[rx.section.images[q]]]
-        for q in range(rx.quotient.n)
-    )
-    induced = PointMap(rx.quotient, ry.quotient, images)
-    for x in range(phi.domain.n):
-        if induced.images[rx.projection.images[x]] != ry.projection.images[phi.images[x]]:
-            raise RuntimeError("induced map does not commute with the projections")
-    if len(set(images)) != ry.quotient.n or not is_distance_preserving(induced):
-        raise RuntimeError("induced map is not an isometry of the reflections")
-    return induced
+    return compose(compose(rx.section, phi), ry.projection)
 
 
 def _joint_signatures(s1: Space, s2: Space) -> tuple[list[int], list[int]]:
@@ -156,8 +148,10 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
     each point are restricted to points with the same refined signature
     (signatures are invariant under isometry, so no witness is ever lost),
     points are assigned most-constrained first, and ties break toward the
-    least index, which makes the returned witness deterministic. Returns the
-    witness (or ``None``) together with search statistics.
+    least index, which makes the returned witness deterministic. The search
+    keeps its own stack of candidate iterators, one per assigned point, so
+    its depth is not bounded by the interpreter's recursion limit. Returns
+    the witness (or ``None``) together with search statistics.
     """
     if not is_metric(m1) or not is_metric(m2):
         raise ValueError("isometry search requires metric spaces")
@@ -176,37 +170,39 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
     order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
     images = [-1] * n
     used = [False] * n
-    stats = {"nodes": 0, "checks": 0}
+    nodes = checks = 0
     d1, d2 = m1.matrix, m2.matrix
-
-    def extend(k: int) -> bool:
-        if k == n:
-            return True
+    # stack[k] iterates the candidates of order[k]; the search succeeds when
+    # all n points are assigned and fails when the stack empties.
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        k = len(stack) - 1
         i = order[k]
-        for j in candidates[i]:
+        if images[i] >= 0:
+            # Back from a dead end deeper down: free this point's image.
+            used[images[i]] = False
+            images[i] = -1
+        for j in stack[k]:
             if used[j]:
                 continue
-            stats["nodes"] += 1
-            ok = True
+            nodes += 1
             for prev in order[:k]:
-                stats["checks"] += 1
+                checks += 1
                 if d1[i][prev] != d2[j][images[prev]]:
-                    ok = False
                     break
-            if ok:
+            else:  # j agrees with every assigned point: take it
                 images[i] = j
                 used[j] = True
-                if extend(k + 1):
-                    return True
-                images[i] = -1
-                used[j] = False
-        return False
+                break
+        else:  # no candidate left at this depth: backtrack
+            stack.pop()
+            continue
+        if k + 1 == n:
+            break
+        stack.append(iter(candidates[order[k + 1]]))
 
-    found = extend(0)
-    result = PointMap(m1, m2, tuple(images)) if found else None
-    return result, IsoSearchStats(
-        nodes=stats["nodes"], signature_prunes=prunes, distance_checks=stats["checks"]
-    )
+    result = PointMap(m1, m2, tuple(images)) if stack else None
+    return result, IsoSearchStats(nodes=nodes, signature_prunes=prunes, distance_checks=checks)
 
 
 def are_pseudoisometric(x: Space, y: Space) -> PointMap | None:
@@ -225,14 +221,7 @@ def are_pseudoisometric(x: Space, y: Space) -> PointMap | None:
     quotient_iso, _ = find_isometry(rx.quotient, ry.quotient)
     if quotient_iso is None:
         return None
-    return PointMap(
-        x,
-        y,
-        tuple(
-            ry.section.images[quotient_iso.images[rx.projection.images[i]]]
-            for i in range(x.n)
-        ),
-    )
+    return compose(compose(rx.projection, quotient_iso), ry.section)
 
 
 def brute_force_pseudoisometry(

@@ -15,6 +15,7 @@ from .core import (
     Report,
     Space,
     Violation,
+    _pullback,
     zero_blocks_unchecked,
     zero_classes,
 )
@@ -50,10 +51,7 @@ def metric_reflection(space: Space) -> Reflection:
         raise ValueError("metric reflection requires a nonempty space")
     part = zero_classes(space)
     reps = [min(b) for b in part.blocks]
-    quotient = Space(
-        tuple(space.labels[r] for r in reps),
-        tuple(tuple(space.matrix[a][b] for b in reps) for a in reps),
-    )
+    quotient = Space(tuple(space.labels[r] for r in reps), _pullback(space.matrix, reps))
     projection = PointMap(
         space, quotient, tuple(part.block_index(i) for i in range(space.n))
     )

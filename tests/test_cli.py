@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pseudometric import parse_document
+from pseudometric import cli, parse_document
 from pseudometric.cli import main
 
 METRIC_PAIR = """{
@@ -323,6 +323,7 @@ def test_module_entry_point(tmp_path):
     doc.write_text(METRIC_PAIR, encoding="utf-8")
     proc = subprocess.run(
         [sys.executable, "-m", "pseudometric", "validate", str(doc)],
+        cwd=Path(cli.__file__).parents[1],  # run the package under test, installed or not
         capture_output=True,
         text=True,
     )
@@ -332,6 +333,16 @@ def test_module_entry_point(tmp_path):
 
 def test_usage_error_exits_two():
     assert main(["no-such-command"]) == 2
+
+
+def test_out_of_memory_exits_three(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_fuzz", exhausted)
+    assert main(["fuzz"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: out of memory\n")
 
 
 def _json(payload) -> str:
@@ -489,7 +500,7 @@ PINNED = {
         2, "", "error: empty.json: pseudoisometry requires nonempty spaces\n"
     ),
     "cec broken.json broken.json": _both(
-        2, "", "error: broken.json: not a pseudometric space (triangle at (1,0,2): 3, 1, 1)\n"
+        2, "", "error: broken.json: not a pseudometric space (triangle at (b,a,c): 3, 1, 1)\n"
     ),
     "isometric broken.json missing.json": _both(
         2, "", "error: missing.json: [Errno 2] No such file or directory: 'missing.json'\n"

@@ -82,6 +82,17 @@ def test_malformed_documents_report_positions(text, fragment):
     assert fragment in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "literal", ["1" * 5001, "1/" + "7" * 5001], ids=["numerator", "denominator"]
+)
+def test_overlong_literal_is_a_document_error(literal):
+    # Longer than the interpreter's limit on digits per integer conversion.
+    text = '{"points": ["a", "b"], "d": [["0", "%s"], ["1", "0"]]}' % literal
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert str(err.value) == f"d[0][1]: distance literal too long ({len(literal)} characters)"
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32),

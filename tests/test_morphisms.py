@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -177,6 +179,37 @@ class TestFindIsometry:
         _, stats = find_isometry(PAIR1, PAIR1)
         assert stats.nodes >= 0 and stats.signature_prunes >= 0
         assert stats.distance_checks >= 0
+
+    def test_strongly_regular_pair_counters(self):
+        # The 4x4 rook graph and the Shrikhande graph are both SRG(16,6,2,2),
+        # so refinement cannot split them and the search runs to exhaustion.
+        cells = [(a, b) for a in range(4) for b in range(4)]
+
+        def graph(adjacent):
+            return mk(
+                [f"v{i}" for i in range(16)],
+                [[0 if p == q else 1 if adjacent(p, q) else 2 for q in cells] for p in cells],
+            )
+
+        steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+        rook = graph(lambda p, q: (p[0] == q[0]) != (p[1] == q[1]))
+        shrikhande = graph(lambda p, q: ((q[0] - p[0]) % 4, (q[1] - p[1]) % 4) in steps)
+        witness, stats = find_isometry(rook, shrikhande)
+        assert witness is None
+        assert (stats.nodes, stats.signature_prunes, stats.distance_checks) == (4096, 0, 5520)
+
+    def test_depth_is_not_bounded_by_the_recursion_limit(self):
+        # A uniform metric assigns one point per search depth.
+        n = 200
+        uniform = mk(map(str, range(n)), [[int(i != j) for j in range(n)] for i in range(n)])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            witness, stats = find_isometry(uniform, uniform)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert witness is not None and witness.images == tuple(range(n))
+        assert (stats.nodes, stats.distance_checks) == (n, n * (n - 1) // 2)
 
 
 class TestArePseudoisometric:
