@@ -22,6 +22,7 @@ from .core import (
     PointMap,
     Space,
     _pullback,
+    _scaled,
     as_dist,
     is_metric,
     members_of,
@@ -196,17 +197,18 @@ def _bernoulli(rng: random.Random, p: Fraction) -> bool:
     return rng.randrange(p.denominator) < p.numerator
 
 
-def _shortest_path_repair(rows: list[list[Dist]]) -> None:
+def _shortest_path_repair(rows: list[list[Dist]]) -> list[list[Dist]]:
     # Project a symmetric non-negative matrix onto the pseudometric cone by
-    # all-pairs shortest paths; entries only decrease.
-    n = len(rows)
-    for k in range(n):
-        for i in range(n):
-            dik = rows[i][k]
-            for j in range(n):
-                via = dik + rows[k][j]
-                if via < rows[i][j]:
-                    rows[i][j] = via
+    # all-pairs shortest paths, on ints over one scale; entries only decrease.
+    scale, (ints,) = _scaled(rows)
+    for k, rk in enumerate(ints):
+        for ri in ints:
+            dik = ri[k]
+            for j, dkj in enumerate(rk):
+                via = dik + dkj
+                if via < ri[j]:
+                    ri[j] = via
+    return [[Fraction(v, scale) for v in row] for row in ints]
 
 
 def _clone_points(n: int, total: int, rng: random.Random) -> list[int]:
@@ -238,7 +240,7 @@ def random_space(p: GenParams) -> Space:
     for i in range(base):
         for j in range(i + 1, base):
             rows[i][j] = rows[j][i] = _draw_entry(rng, p.max_entry)
-    _shortest_path_repair(rows)
+    rows = _shortest_path_repair(rows)
     points = _clone_points(base, p.n, rng)
     return Space(tuple(f"p{i}" for i in range(p.n)), _pullback(rows, points))
 

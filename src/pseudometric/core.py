@@ -6,14 +6,21 @@ the zero-distance relation (``d(x, y) = 0``) the central piece of machinery:
 it is an equivalence relation whose classes drive the quotient construction,
 the topology, and the morphism checks in the rest of the package.
 
-All arithmetic is exact (`fractions.Fraction`); no comparison ever rounds.
+All arithmetic is exact and no comparison ever rounds. Distances are
+`fractions.Fraction`s at the boundaries (construction, parsing, emitted
+documents, violation values, public getters), each built once. The hot
+comparisons (the axiom scan, isometry search, shortest-path repair) run on
+Python ``int``s: the matrices are scaled by one common multiple ``L`` of all
+their denominators, and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Iterable, Iterator, Sequence, Union
 
 Dist = Fraction
@@ -29,8 +36,8 @@ def as_dist(value: DistLike) -> Dist:
     """
     if isinstance(value, float):
         raise TypeError("float distances are not allowed; pass int, str or Fraction")
-    d = Fraction(value)
-    if d < 0:
+    d = value if type(value) is Fraction else Fraction(value)
+    if d.numerator < 0:  # the denominator is always positive
         raise ValueError(f"distance must be non-negative, got {d}")
     return d
 
@@ -262,9 +269,22 @@ def _pullback(rows: Sequence[Sequence[Dist]], points: list[int]) -> tuple[tuple[
     return tuple(tuple(rows[p][q] for q in points) for p in points)
 
 
+def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[list[int]]]]:
+    # The matrices over one common denominator: (L, int matrices) with
+    # ints[i][j] = L * matrix[i][j], where L is the least common multiple of
+    # every denominator in all of them. Scaling by one L preserves order,
+    # equality and sums, within a matrix and across matrices.
+    scale = math.lcm(*{v.denominator for m in matrices for row in m for v in row})
+    return scale, [
+        [[v.numerator * (scale // v.denominator) for v in row] for row in m] for m in matrices
+    ]
+
+
 def _raw_rational(value: object, where: str) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"entry {where} is a float; distances must be exact rationals")
+    if type(value) is Fraction:
+        return value
     try:
         return Fraction(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError):
@@ -294,26 +314,31 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
             raise ValueError(f"matrix row {i} has length {len(raw_row)}, expected {n}")
         rows.append(tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(raw_row)))
 
+    _, (ints,) = _scaled(rows)
     violations: list[Violation] = []
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] < 0:
+    for i, ri in enumerate(ints):
+        for j, dij in enumerate(ri):
+            if dij < 0:
                 violations.append(Violation("negative", (i, j), (rows[i][j],)))
-    for i in range(n):
-        if rows[i][i] != 0:
+    for i, ri in enumerate(ints):
+        if ri[i] != 0:
             violations.append(Violation("diagonal", (i,), (rows[i][i],)))
-    for i in range(n):
+    for i, ri in enumerate(ints):
         for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
+            if ri[j] != ints[j][i]:
                 violations.append(Violation("symmetry", (i, j), (rows[i][j], rows[j][i])))
-    for i in range(n):
-        for j in range(n):
-            dij = rows[i][j]
-            for k in range(n):
-                if dij > rows[i][k] + rows[k][j]:
-                    violations.append(
-                        Violation("triangle", (i, k, j), (dij, rows[i][k], rows[k][j]))
-                    )
+    # One C-level pass per (i, j) finds the shortest two-step path; only a
+    # pair that some k violates is walked again, in k order, for witnesses.
+    cols = list(zip(*ints))
+    for i, ri in enumerate(ints):
+        for j, cj in enumerate(cols):
+            dij = ri[j]
+            if dij > min(map(add, ri, cj)):
+                for k in range(n):
+                    if dij > ri[k] + cj[k]:
+                        violations.append(
+                            Violation("triangle", (i, k, j), (rows[i][j], rows[i][k], rows[k][j]))
+                        )
     return Report.from_violations(violations)
 
 

@@ -20,6 +20,7 @@ from .core import (
     Report,
     Space,
     Violation,
+    _scaled,
     is_metric,
     zero_blocks_unchecked,
 )
@@ -112,27 +113,29 @@ def induced_reflection_map(phi: PointMap) -> PointMap:
     return compose(compose(rx.section, phi), ry.projection)
 
 
-def _joint_signatures(s1: Space, s2: Space) -> tuple[list[int], list[int]]:
-    # Iterated signature refinement over both spaces at once, so equal
-    # colors are comparable across them. Initial color: sorted multiset of
-    # distances to all points; refinement folds in the colors at each
-    # distance. Stops when the number of joint color classes stabilizes.
+def _joint_signatures(d1: list[list[int]], d2: list[list[int]]) -> tuple[list[int], list[int]]:
+    # Iterated signature refinement over both matrices at once (ints over
+    # one common scale), so equal colors are comparable across them.
+    # Initial color: sorted multiset of distances to all points; refinement
+    # folds in the colors at each distance. Stops when the number of joint
+    # color classes stabilizes.
     def canon(profiles1, profiles2):
         table = {p: c for c, p in enumerate(sorted(set(profiles1) | set(profiles2)))}
         return [table[p] for p in profiles1], [table[p] for p in profiles2]
 
-    p1 = [tuple(sorted(s1.matrix[i])) for i in range(s1.n)]
-    p2 = [tuple(sorted(s2.matrix[i])) for i in range(s2.n)]
+    n1, n2 = len(d1), len(d2)
+    p1 = [tuple(sorted(row)) for row in d1]
+    p2 = [tuple(sorted(row)) for row in d2]
     c1, c2 = canon(p1, p2)
     classes = len(set(c1) | set(c2))
     while True:
         p1 = [
-            (c1[i], tuple(sorted((s1.matrix[i][j], c1[j]) for j in range(s1.n) if j != i)))
-            for i in range(s1.n)
+            (c1[i], tuple(sorted((d1[i][j], c1[j]) for j in range(n1) if j != i)))
+            for i in range(n1)
         ]
         p2 = [
-            (c2[i], tuple(sorted((s2.matrix[i][j], c2[j]) for j in range(s2.n) if j != i)))
-            for i in range(s2.n)
+            (c2[i], tuple(sorted((d2[i][j], c2[j]) for j in range(n2) if j != i)))
+            for i in range(n2)
         ]
         c1, c2 = canon(p1, p2)
         new_classes = len(set(c1) | set(c2))
@@ -161,7 +164,10 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
     if n == 0:
         return PointMap(m1, m2, ()), IsoSearchStats()
 
-    c1, c2 = _joint_signatures(m1, m2)
+    # One scale for both spaces: scaling each by its own LCM would equate
+    # {1, 2} with {1/2, 1}.
+    _, (d1, d2) = _scaled(m1.matrix, m2.matrix)
+    c1, c2 = _joint_signatures(d1, d2)
     candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
     prunes = sum(n - len(c) for c in candidates)
     if sorted(c1) != sorted(c2):
@@ -171,7 +177,6 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
     images = [-1] * n
     used = [False] * n
     nodes = checks = 0
-    d1, d2 = m1.matrix, m2.matrix
     # stack[k] iterates the candidates of order[k]; the search succeeds when
     # all n points are assigned and fails when the stack empties.
     stack = [iter(candidates[order[0]])]

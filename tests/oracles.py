@@ -11,7 +11,38 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from pseudometric import PointMap, Space
+from pseudometric import PointMap, Report, Space, Violation
+
+
+def validate_by_definition(labels, matrix):
+    """The axiom report by straight ``Fraction`` loops over the raw matrix.
+
+    Same rules, order and witnesses as ``validate_pseudometric``, which
+    compares scaled integers instead; the two reports must be equal.
+    """
+    rows = [[Fraction(v) for v in row] for row in matrix]
+    n = len(labels)
+    violations = []
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j] < 0:
+                violations.append(Violation("negative", (i, j), (rows[i][j],)))
+    for i in range(n):
+        if rows[i][i] != 0:
+            violations.append(Violation("diagonal", (i,), (rows[i][i],)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rows[i][j] != rows[j][i]:
+                violations.append(Violation("symmetry", (i, j), (rows[i][j], rows[j][i])))
+    for i in range(n):
+        for j in range(n):
+            dij = rows[i][j]
+            for k in range(n):
+                if dij > rows[i][k] + rows[k][j]:
+                    violations.append(
+                        Violation("triangle", (i, k, j), (dij, rows[i][k], rows[k][j]))
+                    )
+    return Report.from_violations(violations)
 
 
 def scan_axioms(rows):

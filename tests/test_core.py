@@ -18,7 +18,7 @@ from pseudometric import (
     zero_classes,
 )
 
-from oracles import all_subsets, scan_axioms, small_spaces
+from oracles import all_subsets, scan_axioms, small_spaces, validate_by_definition
 
 
 def mk(labels, rows):
@@ -43,6 +43,11 @@ class TestDist:
         assert as_dist("3/6") == Fraction(1, 2)
         assert as_dist(4) == 4
         assert as_dist(Fraction(7, 3)) == Fraction(7, 3)
+
+    def test_fraction_is_built_once(self):
+        half = Fraction(1, 2)
+        assert as_dist(half) is half
+        assert mk("ab", [[0, half], [half, 0]]).matrix[0][1] is half
 
     def test_rejects_negative_and_float(self):
         with pytest.raises(ValueError):
@@ -91,6 +96,44 @@ class TestValidate:
     def test_nonzero_diagonal_reported(self):
         report = validate_pseudometric("ab", [[1, 0], [0, 0]])
         assert any(v.rule == "diagonal" and v.points == (0,) for v in report.violations)
+
+    def test_float_and_unparseable_entries_are_input_errors(self):
+        with pytest.raises(ValueError, match=r"entry \(0,1\) is a float"):
+            validate_pseudometric("ab", [[0, 0.5], [Fraction(1, 2), 0]])
+        with pytest.raises(ValueError, match=r"entry \(1,0\) is not a rational"):
+            validate_pseudometric("ab", [[0, 1], ["one", 0]])
+        with pytest.raises(ValueError, match=r"entry \(1,1\) is not a rational"):
+            validate_pseudometric("ab", [[0, 1], [1, None]])
+
+    @pytest.mark.parametrize(
+        "denominators",
+        [(1,), (1, 2, 3, 4), (7, 11, 13), (97, 101, 103, 107)],
+        ids=["integers", "small", "coprime", "large-lcm"],
+    )
+    def test_equals_reference_report(self, denominators):
+        # Whole reports (rule order, witnesses and Fraction values) against
+        # the Fraction loops, on raw matrices of mixed entry types with
+        # negatives, asymmetry and nonzero diagonals, from n = 0 up.
+        rng = random.Random(sum(denominators))
+        kinds = (Fraction, str, lambda v: v.numerator if v.denominator == 1 else v)
+        for t in range(160):
+            n = t % 8
+            sym = rng.random() < 0.5
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    if sym and j < i:
+                        v = Fraction(rows[j][i])
+                    elif i == j and rng.random() < 0.8:
+                        v = Fraction(0)
+                    else:
+                        v = Fraction(rng.randint(-2, 12), rng.choice(denominators))
+                    rows[i][j] = rng.choice(kinds)(v)
+            labels = [f"x{i}" for i in range(n)]
+            report = validate_pseudometric(labels, rows)
+            expected = validate_by_definition(labels, rows)
+            assert report == expected
+            assert repr(report) == repr(expected)
 
     def test_agrees_with_naive_scan_on_enumerated_family(self):
         # Every {0,1,2} assignment on up to 4 points, valid or not.

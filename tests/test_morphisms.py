@@ -146,6 +146,28 @@ class TestFindIsometry:
         witness, _ = find_isometry(PAIR1, PAIR2)
         assert witness is None
 
+    def test_distances_are_compared_on_one_scale(self):
+        # Halving every distance changes the space; each matrix alone over
+        # its own denominators would read as the same integers.
+        base = mk("abc", [[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+        halved = mk("xyz", [[0, Fraction(1, 2), 1], [Fraction(1, 2), 0, 1], [1, 1, 0]])
+        assert find_isometry(base, halved)[0] is None
+        assert are_pseudoisometric(base, halved) is None
+
+    def test_isometric_across_denominators(self):
+        thirds = mk("abc", [[0, Fraction(1, 3), Fraction(5, 7)],
+                            [Fraction(1, 3), 0, Fraction(2, 3)],
+                            [Fraction(5, 7), Fraction(2, 3), 0]])
+        twin = mk("xyzw", [[0, Fraction(2, 3), Fraction(1, 3), 0],
+                           [Fraction(2, 3), 0, Fraction(5, 7), Fraction(2, 3)],
+                           [Fraction(1, 3), Fraction(5, 7), 0, Fraction(1, 3)],
+                           [0, Fraction(2, 3), Fraction(1, 3), 0]])
+        quotient = metric_reflection(twin).quotient
+        witness, _ = find_isometry(thirds, quotient)
+        assert witness is not None and witness.images == (2, 0, 1)
+        lifted = are_pseudoisometric(thirds, twin)
+        assert lifted is not None and pseudoisometry_by_definition(lifted)
+
     def test_non_metric_inputs_rejected(self):
         with pytest.raises(ValueError):
             find_isometry(TWO_CLASS, TWO_CLASS)
@@ -182,21 +204,29 @@ class TestFindIsometry:
 
     def test_strongly_regular_pair_counters(self):
         # The 4x4 rook graph and the Shrikhande graph are both SRG(16,6,2,2),
-        # so refinement cannot split them and the search runs to exhaustion.
+        # so refinement cannot split them and the search runs to exhaustion;
+        # nor can it split their Cartesian products with K2.
         cells = [(a, b) for a in range(4) for b in range(4)]
 
         def graph(adjacent):
-            return mk(
-                [f"v{i}" for i in range(16)],
-                [[0 if p == q else 1 if adjacent(p, q) else 2 for q in cells] for p in cells],
-            )
+            return [[0 if p == q else 1 if adjacent(p, q) else 2 for q in cells] for p in cells]
+
+        def box_k2(rows):
+            # Point (v, e) is index 2 * v + e.
+            return [[rows[a >> 1][b >> 1] + ((a ^ b) & 1) for b in range(32)] for a in range(32)]
 
         steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
         rook = graph(lambda p, q: (p[0] == q[0]) != (p[1] == q[1]))
         shrikhande = graph(lambda p, q: ((q[0] - p[0]) % 4, (q[1] - p[1]) % 4) in steps)
-        witness, stats = find_isometry(rook, shrikhande)
-        assert witness is None
-        assert (stats.nodes, stats.signature_prunes, stats.distance_checks) == (4096, 0, 5520)
+        cases = [
+            (rook, shrikhande, (4096, 0, 5520)),
+            (box_k2(rook), box_k2(shrikhande), (82432, 0, 128864)),
+        ]
+        for x, y, counters in cases:
+            labels = [f"v{i}" for i in range(len(x))]
+            witness, stats = find_isometry(mk(labels, x), mk(labels, y))
+            assert witness is None
+            assert (stats.nodes, stats.signature_prunes, stats.distance_checks) == counters
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # A uniform metric assigns one point per search depth.
