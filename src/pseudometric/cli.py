@@ -18,7 +18,7 @@ import sys
 
 from .constructions import Embedding, completion_glue, glue_zero_point, in_cec, is_superspace
 from .core import PointMap, Space, Violation, format_dist, is_metric
-from .document import DocumentError, emit_document, load_space
+from .document import DocumentError, document_payload, emit_document, load_space, render_document
 from .fuzz import SUITES, run_fuzz
 from .morphisms import (
     ResourceLimitError,
@@ -79,13 +79,6 @@ def _map_payload(m: PointMap) -> dict:
     }
 
 
-def _doc_payload(space: Space) -> dict:
-    return {
-        "points": list(space.labels),
-        "d": [[format_dist(v) for v in row] for row in space.matrix],
-    }
-
-
 # Each command returns (exit code, structured payload, plain lines); a payload
 # of None means the plain lines are printed in both formats.
 Result = tuple[int, dict | None, list[str]]
@@ -117,10 +110,13 @@ def _cmd_reflect(args) -> Result:
         args.file, require=(lambda s: s.n > 0, "metric reflection requires a nonempty space")
     )
     refl = metric_reflection(space)
-    projection = _map_payload(refl.projection)
-    lines = [emit_document(refl.quotient).rstrip("\n"), "", "projection:"]
-    lines += [f"  {a} -> {b}" for a, b in projection.items()]
-    return 0, {"quotient": _doc_payload(refl.quotient), "projection": projection}, lines
+    payload = {
+        "quotient": document_payload(refl.quotient),
+        "projection": _map_payload(refl.projection),
+    }
+    lines = [render_document(payload["quotient"]).rstrip("\n"), "", "projection:"]
+    lines += [f"  {a} -> {b}" for a, b in payload["projection"].items()]
+    return 0, payload, lines
 
 
 # Lambdas look the functions up at call time, so a caller that rebinds this

@@ -96,6 +96,11 @@ def in_cec(e: Embedding) -> bool:
     return all(e.sup.matrix[u][i] > 0 for u in outside for i in image)
 
 
+def _inclusion(sub: Space, sup: Space) -> Embedding:
+    # A superspace that lists the points of ``sub`` first, in order.
+    return Embedding(sub, sup, PointMap(sub, sup, tuple(range(sub.n))))
+
+
 def glue_zero_point(x: Space, x0: int, label: str) -> Embedding:
     """Extend a nonempty space by a zero-distance twin of point ``x0``.
 
@@ -111,8 +116,7 @@ def glue_zero_point(x: Space, x0: int, label: str) -> Embedding:
         raise ValueError(f"point index {x0} out of range")
     if label in x.labels:
         raise ValueError(f"label {label!r} already used")
-    sup = Space(x.labels + (label,), _pullback(x.matrix, [*range(x.n), x0]))
-    return Embedding(x, sup, PointMap(x, sup, tuple(range(x.n))))
+    return _inclusion(x, _pullback(x, [*range(x.n), x0], x.labels + (label,)))
 
 
 def _extend_labels(labels: tuple[str, ...], bases: list[str]) -> tuple[str, ...]:
@@ -162,8 +166,7 @@ def completion_glue(y: Space, ystar: Space, refl_embedding: PointMap) -> Embeddi
     proxy += new_points
 
     labels = _extend_labels(y.labels, [ystar.labels[q] for q in new_points])
-    glued = Space(labels, _pullback(ystar.matrix, proxy))
-    return Embedding(y, glued, PointMap(y, glued, tuple(range(y.n))))
+    return _inclusion(y, _pullback(ystar, proxy, labels))
 
 
 def check_cec_minimality(y: Space, e: Embedding) -> bool:
@@ -240,9 +243,9 @@ def random_space(p: GenParams) -> Space:
     for i in range(base):
         for j in range(i + 1, base):
             rows[i][j] = rows[j][i] = _draw_entry(rng, p.max_entry)
-    rows = _shortest_path_repair(rows)
-    points = _clone_points(base, p.n, rng)
-    return Space(tuple(f"p{i}" for i in range(p.n)), _pullback(rows, points))
+    labels = tuple(f"p{i}" for i in range(p.n))
+    metric = Space(labels[:base], _shortest_path_repair(rows))
+    return _pullback(metric, _clone_points(base, p.n, rng), labels)
 
 
 def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> Embedding:
@@ -254,47 +257,29 @@ def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> Embedd
     matrix. With ``force_cec`` all radii are positive, so every new point
     keeps positive distance to ``y``; otherwise a radius collapses to 0 with
     probability ``zero_merge_prob``, gluing the new point onto its anchor's
-    zero-distance class. ``p.n`` 0 returns the identity embedding.
+    zero-distance class. ``p.n`` 0 draws nothing and returns a copy of ``y``
+    under the identity inclusion.
     """
     rng = random.Random(p.seed)
-    k = p.n
-    if k == 0 or y.n == 0:
-        if k == 0:
-            return Embedding(y, y, PointMap.identity(y))
+    labels = _extend_labels(y.labels, [f"q{u}" for u in range(p.n)])
+    if y.n == 0 and p.n:
         # Superspace of the empty space: a standalone generated block.
         block = random_space(
             GenParams(
                 seed=rng.getrandbits(63),
-                n=k,
+                n=p.n,
                 zero_merge_prob=p.zero_merge_prob,
                 max_entry=p.max_entry,
             )
         )
-        sup = Space(tuple(f"q{i}" for i in range(k)), block.matrix)
-        return Embedding(y, sup, PointMap(y, sup, ()))
+        return _inclusion(y, _pullback(block, range(p.n), labels))
 
     anchors = []
     radii: list[Dist] = []
-    for _ in range(k):
+    for _ in range(p.n):
         anchors.append(rng.randrange(y.n))
         if not force_cec and _bernoulli(rng, p.zero_merge_prob):
             radii.append(Fraction(0))
         else:
             radii.append(_draw_entry(rng, p.max_entry))
-
-    n = y.n + k
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(y.n):
-        for j in range(y.n):
-            rows[i][j] = y.matrix[i][j]
-    for u in range(k):
-        for i in range(y.n):
-            d = radii[u] + y.matrix[anchors[u]][i]
-            rows[y.n + u][i] = rows[i][y.n + u] = d
-        for v in range(u + 1, k):
-            d = radii[u] + radii[v] + y.matrix[anchors[u]][anchors[v]]
-            rows[y.n + u][y.n + v] = rows[y.n + v][y.n + u] = d
-
-    labels = _extend_labels(y.labels, [f"q{u}" for u in range(k)])
-    sup = Space(labels, tuple(tuple(r) for r in rows))
-    return Embedding(y, sup, PointMap(y, sup, tuple(range(y.n))))
+    return _inclusion(y, _pullback(y, [*range(y.n), *anchors], labels, radii))

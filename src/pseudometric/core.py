@@ -49,6 +49,16 @@ def format_dist(d: Dist) -> str:
     return f"{d.numerator}/{d.denominator}"
 
 
+def _is_utf8(label: str) -> bool:
+    # A lone surrogate (legal in JSON and in undecodable command-line bytes)
+    # has no UTF-8 form, so no output stream could print it.
+    try:
+        label.encode()
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken rule, with the witnessing point indices and offending values."""
@@ -87,9 +97,10 @@ class Space:
     """A finite labeled point set with a rational distance matrix.
 
     Construction performs structural checks only (square matrix, distinct
-    labels, non-negative rational entries). The pseudometric axioms are
-    checked separately by :func:`validate_pseudometric` / :meth:`validate`,
-    so deliberately broken matrices stay representable for diagnostics.
+    nonempty labels that encode as UTF-8, non-negative rational entries).
+    The pseudometric axioms are checked separately by
+    :func:`validate_pseudometric` / :meth:`validate`, so deliberately broken
+    matrices stay representable for diagnostics.
     Instances are immutable and hashable; every operation on them is pure.
     """
 
@@ -101,6 +112,8 @@ class Space:
         for lab in labels:
             if not isinstance(lab, str) or not lab:
                 raise ValueError(f"labels must be nonempty strings, got {lab!r}")
+            if not _is_utf8(lab):
+                raise ValueError(f"label {lab!r} is not encodable as UTF-8")
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate labels")
         n = len(labels)
@@ -262,11 +275,24 @@ class PointMap:
         return cls(space, space, tuple(range(space.n)))
 
 
-def _pullback(rows: Sequence[Sequence[Dist]], points: list[int]) -> tuple[tuple[Dist, ...], ...]:
-    # The matrix read through an index list: entry (i, j) is
-    # rows[points[i]][points[j]]. Quotients, twins, clones, gluings and
-    # permuted copies are all of this form.
-    return tuple(tuple(rows[p][q] for q in points) for p in points)
+def _pullback(
+    parent: Space, points: Sequence[int], labels: Sequence[str], radii: Sequence[Dist] = ()
+) -> Space:
+    # The space on ``labels`` read from ``parent`` through an index list:
+    # entry (i, j) is d(points[i], points[j]). Quotients, twins, clones,
+    # gluings and permuted copies are all of this form. Anchored points
+    # also carry a radius: ``radii`` belongs to the last len(radii) points,
+    # and radii[i] + radii[j] is added off the diagonal.
+    m = parent.matrix
+    rows = [[m[p][q] for q in points] for p in points]
+    n = len(rows)
+    for i, r in enumerate(radii, start=n - len(radii)):
+        if r:
+            for j in range(n):
+                if j != i:
+                    rows[i][j] += r
+                    rows[j][i] += r
+    return Space(labels, rows)
 
 
 def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[list[int]]]]:

@@ -24,7 +24,7 @@ import json
 import re
 from fractions import Fraction
 
-from .core import Dist, Space, format_dist
+from .core import Dist, Space, _is_utf8, format_dist
 
 _LITERAL = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -74,11 +74,15 @@ def parse_document(text: str) -> Space:
     if not isinstance(points, list):
         raise DocumentError('"points" must be an array', "points")
     labels: list[str] = []
+    seen: set[str] = set()
     for i, lab in enumerate(points):
         if not isinstance(lab, str) or not lab:
             raise DocumentError("labels must be nonempty strings", f"points[{i}]")
-        if lab in labels:
+        if not _is_utf8(lab):
+            raise DocumentError(f"label {lab!r} is not encodable as UTF-8", f"points[{i}]")
+        if lab in seen:
             raise DocumentError(f"duplicate label {lab!r}", f"points[{i}]")
+        seen.add(lab)
         labels.append(lab)
 
     d = data["d"]
@@ -100,20 +104,34 @@ def parse_document(text: str) -> Space:
     return Space(tuple(labels), tuple(rows))
 
 
-def emit_document(space: Space) -> str:
-    """Render a space in canonical document form."""
+def document_payload(space: Space) -> dict:
+    """The members of a space's document as JSON values: labels and literals."""
+    return {
+        "points": list(space.labels),
+        "d": [[format_dist(v) for v in row] for row in space.matrix],
+    }
+
+
+def render_document(payload: dict) -> str:
+    """Render a :func:`document_payload` in canonical document form."""
     out = ["{"]
-    out.append(f'  "points": {json.dumps(list(space.labels))},')
-    if space.n == 0:
+    out.append(f'  "points": {json.dumps(payload["points"])},')
+    rows = payload["d"]
+    if not rows:
         out.append('  "d": []')
     else:
         out.append('  "d": [')
-        for i, row in enumerate(space.matrix):
-            comma = "," if i + 1 < space.n else ""
-            out.append(f'    {json.dumps([format_dist(v) for v in row])}{comma}')
+        for i, row in enumerate(rows):
+            comma = "," if i + 1 < len(rows) else ""
+            out.append(f"    {json.dumps(row)}{comma}")
         out.append("  ]")
     out.append("}")
     return "\n".join(out) + "\n"
+
+
+def emit_document(space: Space) -> str:
+    """Render a space in canonical document form."""
+    return render_document(document_payload(space))
 
 
 def load_space(path: str) -> Space:

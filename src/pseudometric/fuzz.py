@@ -138,16 +138,15 @@ def _subsets_to_try(rng: random.Random, n: int) -> list[frozenset[int]]:
 
 def _with_clones(base: Space, total: int, rng: random.Random) -> Space:
     """Pad a space with zero-distance clones of random points up to ``total``."""
-    points = _clone_points(base.n, total, rng)
     labels = base.labels + tuple(f"c{i}" for i in range(base.n, total))
-    return Space(labels, _pullback(base.matrix, points))
+    return _pullback(base, _clone_points(base.n, total, rng), labels)
 
 
 def _permuted_twin(space: Space, rng: random.Random) -> tuple[Space, PointMap]:
     """A relabeled-and-reordered copy plus the isometry onto it."""
     sigma = list(range(space.n))
     rng.shuffle(sigma)
-    twin = Space(tuple(f"t{i}" for i in range(space.n)), _pullback(space.matrix, sigma))
+    twin = _pullback(space, sigma, [f"t{i}" for i in range(space.n)])
     images = [0] * space.n
     for new, old in enumerate(sigma):
         images[old] = new

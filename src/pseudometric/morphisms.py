@@ -174,6 +174,7 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
         return None, IsoSearchStats(signature_prunes=prunes)
 
     order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
+    assigned = [order[:k] for k in range(n)]  # the points placed before depth k
     images = [-1] * n
     used = [False] * n
     nodes = checks = 0
@@ -191,7 +192,7 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
             if used[j]:
                 continue
             nodes += 1
-            for prev in order[:k]:
+            for prev in assigned[k]:
                 checks += 1
                 if d1[i][prev] != d2[j][images[prev]]:
                     break

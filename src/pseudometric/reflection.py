@@ -51,7 +51,7 @@ def metric_reflection(space: Space) -> Reflection:
         raise ValueError("metric reflection requires a nonempty space")
     part = zero_classes(space)
     reps = [min(b) for b in part.blocks]
-    quotient = Space(tuple(space.labels[r] for r in reps), _pullback(space.matrix, reps))
+    quotient = _pullback(space, reps, [space.labels[r] for r in reps])
     projection = PointMap(
         space, quotient, tuple(part.block_index(i) for i in range(space.n))
     )

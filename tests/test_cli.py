@@ -318,6 +318,34 @@ class TestFuzzCommand:
         assert captured.err == f"error: {message}\n"
 
 
+class TestSurrogateLabels:
+    """A lone surrogate is legal JSON, and an undecodable command-line byte
+    reaches Python as one, but no UTF-8 stream can print it."""
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    @pytest.mark.parametrize(
+        "command, rows",
+        [
+            ("reflect", [["0", "1"], ["1", "0"]]),
+            ("validate", [["0", "3"], ["1", "0"]]),
+        ],
+    )
+    def test_document_label_exits_two(self, tmp_path, capsys, command, rows, fmt):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"points": ["\ud800", "b"], "d": rows}), encoding="utf-8")
+        assert main([command, str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: points[0]: label '\\ud800' is not encodable as UTF-8\n"
+
+    def test_glue_zero_label_argument_exits_two(self, docs, capsys):
+        argv = ["glue-zero", docs["pair"], "--center", "a", "--label", "\udcff"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: label '\\udcff' is not encodable as UTF-8\n"
+
+
 def test_module_entry_point(tmp_path):
     doc = tmp_path / "s.json"
     doc.write_text(METRIC_PAIR, encoding="utf-8")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -264,3 +265,31 @@ class TestRandomSuperspace:
         y = random_space(GenParams(seed=2, n=4))
         p = GenParams(seed=88, n=3, zero_merge_prob=Fraction(1, 3))
         assert random_superspace(y, p).sup == random_superspace(y, p).sup
+
+
+def _derived_reprs():
+    # Every derived construction over seeded inputs: generated spaces,
+    # reflections, superspaces (none added, anchored, forced positive, over
+    # the empty space) and both gluings.
+    for seed in range(120):
+        k = seed % 4
+        x = random_space(
+            GenParams(seed=seed, n=1 + seed % 7, zero_merge_prob=Fraction(seed % 4, 4))
+        )
+        refl = metric_reflection(x)
+        ystar = random_superspace(refl.quotient, GenParams(seed=seed + 1, n=k), force_cec=True).sup
+        inclusion = PointMap(refl.quotient, ystar, tuple(range(refl.quotient.n)))
+        yield from map(repr, (
+            x,
+            refl,
+            random_superspace(x, GenParams(seed=seed + 2, n=k, zero_merge_prob=Fraction(1, 3))),
+            random_superspace(x, GenParams(seed=seed + 3, n=k), force_cec=True),
+            random_superspace(Space((), ()), GenParams(seed=seed + 4, n=k)),
+            glue_zero_point(x, seed % x.n, "twin"),
+            completion_glue(x, ystar, inclusion),
+        ))
+
+
+def test_derived_constructions_are_pinned():
+    digest = hashlib.sha256("\n".join(_derived_reprs()).encode()).hexdigest()
+    assert digest == "c87c1bf9e1dbcb2083996571758a7f8defe3a137b7d431bac70d596a6c6f6db9"

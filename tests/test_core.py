@@ -178,6 +178,11 @@ class TestSpace:
         with pytest.raises(ValueError):
             Space(("a", "b"), ((0, -1), (-1, 0)))
 
+    @pytest.mark.parametrize("label", ["\ud800", "a\udcff"], ids=["high", "escaped-byte"])
+    def test_label_without_utf8_form_rejected(self, label):
+        with pytest.raises(ValueError, match="not encodable as UTF-8"):
+            Space((label,), ((0,),))
+
     def test_broken_axioms_still_representable(self):
         space = mk("abc", [[0, 0, 1], [0, 0, 2], [1, 2, 0]])
         assert not space.validate().ok

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,27 @@ def test_malformed_documents_report_positions(text, fragment):
     with pytest.raises(DocumentError) as err:
         parse_document(text)
     assert fragment in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "label", ["\ud800", "a\udfffb", "\udcff"], ids=["high", "low-inside", "escaped-byte"]
+)
+def test_label_without_utf8_form_is_a_document_error(label):
+    # Legal JSON (a lone surrogate escape), but no output stream can print it.
+    text = json.dumps({"points": ["b", label], "d": [["0", "1"], ["1", "0"]]})
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert str(err.value) == f"points[1]: label {label!r} is not encodable as UTF-8"
+
+
+def test_duplicate_label_found_among_many():
+    labels = [f"l{i}" for i in range(20_000)]
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps({"points": labels + ["l7"], "d": []}))
+    assert str(err.value) == "points[20000]: duplicate label 'l7'"
+    with pytest.raises(DocumentError) as err:
+        parse_document(json.dumps({"points": labels, "d": []}))
+    assert str(err.value) == 'd: "d" has 0 rows, expected 20000'
 
 
 @pytest.mark.parametrize(
