@@ -34,7 +34,7 @@ from .core import (
     zero_classes,
 )
 from .document import DocumentError, emit_document, load_space, parse_document
-from .fuzz import FuzzReport, iter_pseudoisometries, run_fuzz
+from .fuzz import FuzzReport, run_fuzz
 from .morphisms import (
     IsoSearchStats,
     ResourceLimitError,
@@ -110,7 +110,6 @@ __all__ = [
     "is_open",
     "is_pseudoisometry",
     "is_superspace",
-    "iter_pseudoisometries",
     "limit_points",
     "load_space",
     "metric_reflection",

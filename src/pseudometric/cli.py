@@ -17,7 +17,7 @@ import json
 import sys
 
 from .constructions import Embedding, completion_glue, glue_zero_point, in_cec, is_superspace
-from .core import PointMap, Space, Violation, format_dist, is_metric
+from .core import PointMap, Space, _violation_text, format_dist, is_metric
 from .document import DocumentError, document_payload, emit_document, load_space, render_document
 from .fuzz import SUITES, run_fuzz
 from .morphisms import (
@@ -40,16 +40,11 @@ def _load_valid(*paths: str, require: tuple | None = None) -> list[Space]:
     for space, path in zip(spaces, paths):
         report = space.validate()
         if not report.ok:
-            first = _violation_text(space, report.violations[0])
+            first = _violation_text(report.violations[0], space.labels.__getitem__)
             raise DocumentError(f"not a pseudometric space ({first})", path)
         if require is not None and not require[0](space):
             raise DocumentError(require[1], path)
     return spaces
-
-
-def _violation_text(space: Space, v: Violation) -> str:
-    text = f"{v.rule} at ({','.join(space.labels[i] for i in v.points)})"
-    return text + (f": {', '.join(map(format_dist, v.values))}" if v.values else "")
 
 
 def _parse_labels(space: Space, text: str) -> frozenset[int]:
@@ -101,7 +96,7 @@ def _cmd_validate(args) -> Result:
         lines = ["ok" + (" (metric)" if payload["metric"] else " (pseudometric, not metric)")]
     else:
         lines = [f"not a pseudometric: {len(violations)} violation(s)"]
-        lines += [_violation_text(space, v) for v in report.violations]
+        lines += [_violation_text(v, space.labels.__getitem__) for v in report.violations]
     return (0 if report.ok else 1), payload, lines
 
 

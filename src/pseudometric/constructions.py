@@ -27,7 +27,7 @@ from .core import (
     is_metric,
     members_of,
 )
-from .morphisms import _distance_mismatches
+from .morphisms import is_distance_preserving
 from .reflection import metric_reflection
 from .topology import is_closed
 
@@ -80,7 +80,7 @@ def is_superspace(e: Embedding) -> bool:
     """True iff the inclusion is injective and preserves every distance."""
     if len(set(e.inclusion.images)) != e.sub.n:
         return False
-    return next(_distance_mismatches(e.inclusion), None) is None
+    return is_distance_preserving(e.inclusion)
 
 
 def in_cec(e: Embedding) -> bool:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 Dist = Fraction
 
@@ -68,11 +68,14 @@ class Violation:
     values: tuple[Dist, ...] = ()
 
     def __str__(self) -> str:
-        pts = ",".join(str(p) for p in self.points)
-        out = f"{self.rule} at ({pts})"
-        if self.values:
-            out += ": " + ", ".join(format_dist(v) for v in self.values)
-        return out
+        return _violation_text(self, str)
+
+
+def _violation_text(v: Violation, name: Callable[[int], str]) -> str:
+    # "rule at (p,q): v, w", each point written by ``name``: the index in
+    # ``str(v)``, the label in the CLI's diagnostics.
+    text = f"{v.rule} at ({','.join(map(name, v.points))})"
+    return text + (f": {', '.join(map(format_dist, v.values))}" if v.values else "")
 
 
 @dataclass(frozen=True)
@@ -132,17 +135,11 @@ class Space:
     def n(self) -> int:
         return len(self.labels)
 
-    def d(self, i: int, j: int) -> Dist:
-        return self.matrix[i][j]
-
     def index(self, label: str) -> int:
         try:
             return self.labels.index(label)
         except ValueError:
             raise ValueError(f"no point labeled {label!r}") from None
-
-    def subset(self, members: Iterable[int]) -> "Subset":
-        return Subset(self, frozenset(members))
 
     def validate(self) -> Report:
         return validate_pseudometric(self.labels, self.matrix)
@@ -172,26 +169,7 @@ class Subset:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
-        members = frozenset(self.members)
-        for i in members:
-            if not 0 <= i < self.space.n:
-                raise ValueError(f"point index {i} out of range")
-        object.__setattr__(self, "members", members)
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.space.labels[i] for i in sorted(self.members))
-
-    def complement(self) -> "Subset":
-        return Subset(self.space, frozenset(range(self.space.n)) - self.members)
+        object.__setattr__(self, "members", members_of(self.space, self.members))
 
 
 SetLike = Union[Subset, Iterable[int]]

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
 
 from .constructions import (
     Embedding,
@@ -499,7 +498,12 @@ _RUNNERS = {
 def run_fuzz(
     seed: int, count: int, max_n: int = 6, suites: tuple[str, ...] = SUITES
 ) -> FuzzReport:
-    """Run the selected invariant suites on ``count`` instances each."""
+    """Run the named suites (a nonempty tuple from ``SUITES``) on ``count`` instances each."""
+    if isinstance(suites, str) or not suites:
+        raise ValueError(f"suites must be a nonempty tuple of suite names, got {suites!r}")
+    for name in suites:
+        if name not in SUITES:
+            raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
     if count < 0:
         raise ValueError(f"count must be at least 0, got {count}")
     if max_n < 1:
@@ -518,39 +522,3 @@ def run_fuzz(
         if report.failure is not None:
             break
     return report
-
-
-def iter_pseudoisometries(seed: int, count: int) -> Iterator[PointMap]:
-    """Yield ``count`` validated pseudoisometries of varied shapes.
-
-    Mixes identities, permutation isometries of metric spaces, projections
-    onto and sections from metric reflections, reflection-search witnesses,
-    and composites, so domains and codomains cover all metric/non-metric
-    combinations. Every yielded map has passed the pseudoisometry check.
-    """
-    rng = random.Random(seed)
-    produced = 0
-    while produced < count:
-        x = _space(rng, 5)
-        refl = metric_reflection(x)
-        kind = produced % 6
-        if kind == 0:
-            m = PointMap.identity(x)
-        elif kind == 1:
-            metric = refl.quotient
-            _, m = _permuted_twin(metric, rng)
-        elif kind == 2:
-            m = refl.projection
-        elif kind == 3:
-            m = refl.section
-        elif kind == 4:
-            y = _with_clones(refl.quotient, rng.randint(refl.quotient.n, 5), rng)
-            m = are_pseudoisometric(x, y)
-            if m is None:
-                raise AssertionError("clone variant must stay pseudoisometric")
-        else:
-            m = compose(refl.projection, refl.section)
-        if not is_pseudoisometry(m).ok:
-            raise AssertionError("generated morphism failed validation")
-        yield m
-        produced += 1

@@ -120,25 +120,19 @@ def _joint_signatures(d1: list[list[int]], d2: list[list[int]]) -> tuple[list[in
     # folds in the colors at each distance. Stops when the number of joint
     # color classes stabilizes.
     def canon(profiles1, profiles2):
+        # Joint colors, numbered in profile order, and how many there are.
         table = {p: c for c, p in enumerate(sorted(set(profiles1) | set(profiles2)))}
-        return [table[p] for p in profiles1], [table[p] for p in profiles2]
+        return [table[p] for p in profiles1], [table[p] for p in profiles2], len(table)
 
-    n1, n2 = len(d1), len(d2)
-    p1 = [tuple(sorted(row)) for row in d1]
-    p2 = [tuple(sorted(row)) for row in d2]
-    c1, c2 = canon(p1, p2)
-    classes = len(set(c1) | set(c2))
+    def refine(d, c):
+        n = len(d)
+        return [
+            (c[i], tuple(sorted((d[i][j], c[j]) for j in range(n) if j != i))) for i in range(n)
+        ]
+
+    c1, c2, classes = canon(*([tuple(sorted(row)) for row in d] for d in (d1, d2)))
     while True:
-        p1 = [
-            (c1[i], tuple(sorted((d1[i][j], c1[j]) for j in range(n1) if j != i)))
-            for i in range(n1)
-        ]
-        p2 = [
-            (c2[i], tuple(sorted((d2[i][j], c2[j]) for j in range(n2) if j != i)))
-            for i in range(n2)
-        ]
-        c1, c2 = canon(p1, p2)
-        new_classes = len(set(c1) | set(c2))
+        c1, c2, new_classes = canon(refine(d1, c1), refine(d2, c2))
         if new_classes == classes:
             return c1, c2
         classes = new_classes

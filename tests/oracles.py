@@ -2,16 +2,29 @@
 
 Everything here is written with straight loops against the raw definitions,
 on purpose: these are the second route of every dual-route test, so they
-must not share code with the implementations they check.
+must not share code with the implementations they check. The seeded map
+generator at the end is an input source, not an oracle: it is built from
+the library's public API, and the tests that read it check every map.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from functools import lru_cache
 
-from pseudometric import PointMap, Report, Space, Violation
+from pseudometric import (
+    GenParams,
+    PointMap,
+    Report,
+    Space,
+    Violation,
+    are_pseudoisometric,
+    compose,
+    metric_reflection,
+    random_space,
+)
 
 
 def validate_by_definition(labels, matrix):
@@ -163,3 +176,52 @@ def pseudoisometry_by_definition(m: PointMap) -> bool:
         if not any(y.matrix[m.images[v]][u] == 0 for v in range(x.n)):
             return False
     return True
+
+
+def iter_pseudoisometries(seed: int, count: int):
+    """Yield ``count`` pseudoisometries of varied shapes, reproducibly from ``seed``.
+
+    In turn: identities, permutation isometries of metric spaces,
+    projections onto and sections from metric reflections,
+    reflection-search witnesses onto a space padded with zero-distance
+    clones, and projection-then-section composites, so that domains and
+    codomains cover every metric/non-metric combination.
+    """
+    rng = random.Random(seed)
+    for produced in range(count):
+        n = rng.randint(1, 5)
+        x = random_space(GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3)))
+        refl = metric_reflection(x)
+        q = refl.quotient
+        kind = produced % 6
+        if kind == 0:
+            yield PointMap.identity(x)
+        elif kind == 1:
+            # A relabeled, reordered copy of the quotient: twin point k is
+            # quotient point sigma[k].
+            sigma = list(range(q.n))
+            rng.shuffle(sigma)
+            twin = Space(
+                tuple(f"t{k}" for k in range(q.n)),
+                tuple(tuple(q.matrix[a][b] for b in sigma) for a in sigma),
+            )
+            yield PointMap(q, twin, tuple(sigma.index(i) for i in range(q.n)))
+        elif kind == 2:
+            yield refl.projection
+        elif kind == 3:
+            yield refl.section
+        elif kind == 4:
+            # The quotient padded with zero-distance clones of earlier points.
+            points = list(range(q.n))
+            for i in range(q.n, rng.randint(q.n, 5)):
+                points.append(points[rng.randrange(i)])
+            clones = Space(
+                q.labels + tuple(f"c{i}" for i in range(q.n, len(points))),
+                tuple(tuple(q.matrix[a][b] for b in points) for a in points),
+            )
+            m = are_pseudoisometric(x, clones)
+            if m is None:
+                raise AssertionError("a space padded with clones must stay pseudoisometric")
+            yield m
+        else:
+            yield compose(refl.projection, refl.section)

@@ -32,7 +32,6 @@ from pseudometric import (
     is_open,
     is_pseudoisometry,
     is_superspace,
-    iter_pseudoisometries,
     metric_reflection,
     parse_document,
     random_space,
@@ -41,7 +40,7 @@ from pseudometric import (
     saturate,
 )
 
-from oracles import all_subsets, factorial_isometry, small_spaces
+from oracles import all_subsets, factorial_isometry, iter_pseudoisometries, small_spaces
 
 
 def _report(number: int, name: str, started: float, detail: str) -> None:

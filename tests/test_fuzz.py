@@ -8,11 +8,12 @@ from pseudometric import (
     is_metric,
     random_space,
     is_pseudoisometry,
-    iter_pseudoisometries,
     run_fuzz,
 )
 from pseudometric.cli import main
 from pseudometric.fuzz import CheckFailure, FuzzReport, SUITES
+
+from oracles import iter_pseudoisometries
 
 
 def test_run_fuzz_is_deterministic_at_library_level():
@@ -94,3 +95,17 @@ def test_oracle_cap_maps_to_exit_code_three(tmp_path):
 def test_meaningless_size_rejected(count, max_n, message):
     with pytest.raises(ValueError, match=message):
         run_fuzz(seed=0, count=count, max_n=max_n)
+
+
+@pytest.mark.parametrize(
+    "suites, message",
+    [
+        (("topolgy",), "unknown suite 'topolgy'"),
+        (("morphisms", "nope", "zzz"), "unknown suite 'nope'"),
+        ((), "nonempty tuple of suite names"),
+        ("topology", "nonempty tuple of suite names"),
+    ],
+)
+def test_unknown_or_empty_suite_selection_rejected(suites, message):
+    with pytest.raises(ValueError, match=message):
+        run_fuzz(seed=1, count=5, max_n=4, suites=suites)
