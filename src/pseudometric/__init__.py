@@ -23,7 +23,6 @@ from .core import (
     PointMap,
     Report,
     Space,
-    Subset,
     Violation,
     as_dist,
     class_of,
@@ -82,7 +81,6 @@ __all__ = [
     "Report",
     "ResourceLimitError",
     "Space",
-    "Subset",
     "Violation",
     "are_pseudoisometric",
     "as_dist",

@@ -117,9 +117,9 @@ def _cmd_reflect(args) -> Result:
 # Lambdas look the functions up at call time, so a caller that rebinds this
 # module's names (the per-layer tracer in perfbench) still sees every call.
 _TOPOLOGY_OPS = {
-    "closure": lambda s, a: closure(s, a).members,
-    "interior": lambda s, a: interior(s, a).members,
-    "boundary": lambda s, a: boundary(s, a).members,
+    "closure": lambda s, a: closure(s, a),
+    "interior": lambda s, a: interior(s, a),
+    "boundary": lambda s, a: boundary(s, a),
     "is-open": lambda s, a: is_open(s, a),
     "is-closed": lambda s, a: is_closed(s, a),
 }

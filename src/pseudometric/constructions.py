@@ -112,8 +112,7 @@ def glue_zero_point(x: Space, x0: int, label: str) -> Embedding:
     """
     if x.n == 0:
         raise ValueError("gluing a zero-distance twin requires a nonempty space")
-    if not 0 <= x0 < x.n:
-        raise ValueError(f"point index {x0} out of range")
+    members_of(x, (x0,))
     if label in x.labels:
         raise ValueError(f"label {label!r} already used")
     return _inclusion(x, _pullback(x, [*range(x.n), x0], x.labels + (label,)))
@@ -180,7 +179,7 @@ def check_cec_minimality(y: Space, e: Embedding) -> bool:
         raise ValueError("embedding does not embed the given space")
     if not is_superspace(e):
         raise ValueError("embedding is not a superspace inclusion")
-    if not is_closed(e.sup, members_of(e.sup, e.image())):
+    if not is_closed(e.sup, e.image()):
         return True
     return in_cec(e)
 

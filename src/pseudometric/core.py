@@ -80,19 +80,17 @@ def _violation_text(v: Violation, name: Callable[[int], str]) -> str:
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of a structural check. ``ok`` is true iff ``violations`` is empty."""
+    """Outcome of a structural check: every violation found, none if ``ok``."""
 
-    ok: bool
     violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.ok != (not self.violations):
-            raise ValueError("report.ok must mirror emptiness of violations")
+    @property
+    def ok(self) -> bool:
+        return not self.violations
 
     @classmethod
     def from_violations(cls, violations: Iterable[Violation]) -> "Report":
-        vs = tuple(violations)
-        return cls(ok=not vs, violations=vs)
+        return cls(tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -161,31 +159,20 @@ class Space:
         return part
 
 
-@dataclass(frozen=True)
-class Subset:
-    """A subset of a space's points, held as a frozenset of indices."""
+def members_of(space: Space, A: Iterable[int]) -> frozenset[int]:
+    """The points of ``A`` as a frozenset, each checked to be an index of ``space``.
 
-    space: Space
-    members: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", members_of(self.space, self.members))
-
-
-SetLike = Union[Subset, Iterable[int]]
-
-
-def members_of(space: Space, A: SetLike) -> frozenset[int]:
-    """Normalize a subset argument to a frozenset of valid indices of ``space``."""
-    if isinstance(A, Subset):
-        if A.space != space:
-            raise ValueError("subset belongs to a different space")
-        return A.members
-    members = frozenset(A)
-    for i in members:
-        if not 0 <= i < space.n:
-            raise ValueError(f"point index {i} out of range")
-    return members
+    The one rule for every point-set and point-index argument: a member that
+    is not an ``int`` in ``range(space.n)`` (a float or a string included)
+    raises ``ValueError``. Members are checked before duplicates merge, so
+    ``1.0`` cannot hide behind an equal ``1``.
+    """
+    points = tuple(A)
+    n = space.n
+    for i in points:
+        if not (isinstance(i, int) and 0 <= i < n):
+            raise ValueError(f"point index {i!r} out of range")
+    return frozenset(points)
 
 
 @dataclass(frozen=True)
@@ -237,16 +224,11 @@ class PointMap:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(i) for i in self.images)
+        images = tuple(self.images)
         if len(images) != self.domain.n:
             raise ValueError(f"map has {len(images)} images, expected {self.domain.n}")
-        for i in images:
-            if not 0 <= i < self.codomain.n:
-                raise ValueError(f"image index {i} out of range for codomain")
+        members_of(self.codomain, images)
         object.__setattr__(self, "images", images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     @classmethod
     def identity(cls, space: Space) -> "PointMap":
@@ -396,12 +378,13 @@ def zero_classes(space: Space) -> Partition:
     return space._zero_partition
 
 
-def class_of(space: Space, a: int) -> Subset:
+def class_of(space: Space, a: int) -> frozenset[int]:
     """The set of points at distance 0 from point ``a``: its zero class."""
-    return Subset(space, zero_classes(space).block_of(a))
+    members_of(space, (a,))
+    return zero_classes(space).block_of(a)
 
 
-def saturate(space: Space, A: SetLike) -> Subset:
+def saturate(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Union of the zero-distance classes of all members of ``A``.
 
     A closure operator: extensive, monotone, idempotent. Its fixed points
@@ -410,4 +393,4 @@ def saturate(space: Space, A: SetLike) -> Subset:
     """
     members = members_of(space, A)
     part = zero_classes(space)
-    return Subset(space, frozenset().union(*map(part.block_of, members)))
+    return frozenset().union(*map(part.block_of, members))

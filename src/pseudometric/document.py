@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .core import Dist, Space, _is_utf8, format_dist
 
-_LITERAL = re.compile(r"^(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
+_LITERAL = re.compile(r"(0|[1-9][0-9]*)(?:/([1-9][0-9]*))?")
 
 
 class DocumentError(ValueError):
@@ -41,7 +41,7 @@ def parse_dist_literal(text: str, where: str = "value") -> Dist:
     """Parse a distance literal: a decimal integer or ``p/q``."""
     if not isinstance(text, str):
         raise DocumentError(f"expected a distance string, got {type(text).__name__}", where)
-    m = _LITERAL.match(text)
+    m = _LITERAL.fullmatch(text)
     if not m:
         raise DocumentError(f"invalid distance literal {text!r}", where)
     try:

@@ -173,7 +173,7 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
         # The least open ball around each point, from the definition: its
         # radius is the least positive distance (any radius if there is none).
         balls = [
-            open_ball(space, a, min((d for d in space.matrix[a] if d > 0), default=1)).members
+            open_ball(space, a, min((d for d in space.matrix[a] if d > 0), default=1))
             for a in range(n)
         ]
         everything = frozenset(range(n))
@@ -183,7 +183,7 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
             rest = everything - A
             o = all(balls[a] <= A for a in A)
             c = all(balls[a] <= rest for a in rest)
-            s = saturate(space, A).members == A
+            s = saturate(space, A) == A
             rec.check(
                 "open_iff_closed_iff_saturated",
                 o == c == s == is_open(space, A) == is_closed(space, A),
@@ -192,7 +192,7 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
             )
             rec.check(
                 "closure_equals_saturate",
-                closure(space, A).members
+                closure(space, A)
                 == frozenset(x for x in range(n) if any(space.matrix[x][a] == 0 for a in A)),
                 f"A={sorted(A)}",
                 space=space,
@@ -224,18 +224,18 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
             prefix = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
             if rng.randrange(2):
                 anchor = rng.randrange(n)
-                cls = sorted(class_of(space, anchor).members)
+                cls = sorted(class_of(space, anchor))
                 cycle = tuple(rng.choice(cls) for _ in range(rng.randint(1, 3)))
             else:
                 cycle = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
             seq = EPSequence(space, prefix, cycle)
             # Cauchy by the definition: cycle points pairwise at distance 0.
             cauchy = all(space.matrix[a][b] == 0 for a in cycle for b in cycle)
-            limits = limit_points(seq).members
+            limits = limit_points(seq)
             rec.check(
                 "cauchy_limits_are_a_zero_class",
                 is_cauchy(seq) == cauchy
-                and limits == (class_of(space, cycle[0]).members if cauchy else frozenset()),
+                and limits == (class_of(space, cycle[0]) if cauchy else frozenset()),
                 f"prefix={prefix} cycle={cycle}",
                 space=space,
             )
@@ -245,7 +245,7 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
                 f"cycle={cycle}",
                 space=space,
             )
-            closed_set = saturate(space, _random_subset(rng, n) | set(cycle)).members
+            closed_set = saturate(space, _random_subset(rng, n) | set(cycle))
             rec.check(
                 "closed_subsets_are_complete",
                 (not cauchy) or bool(limits & closed_set),
@@ -261,7 +261,7 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
             rec.check(
                 "reflection_preserves_cauchy_and_limits",
                 is_cauchy(qseq) == cauchy
-                and bool(limit_points(qseq).members) == bool(limits),
+                and bool(limit_points(qseq)) == bool(limits),
                 f"cycle={cycle}",
                 space=space,
                 quotient=refl.quotient,

@@ -19,12 +19,11 @@ finite space can exhibit while keeping all questions decidable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import (
     DistLike,
-    SetLike,
     Space,
-    Subset,
     as_dist,
     class_of,
     members_of,
@@ -42,42 +41,36 @@ class EPSequence:
     cycle: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prefix = tuple(int(i) for i in self.prefix)
-        cycle = tuple(int(i) for i in self.cycle)
+        prefix, cycle = tuple(self.prefix), tuple(self.cycle)
         if not cycle:
             raise ValueError("cycle must be nonempty")
-        for i in prefix + cycle:
-            if not 0 <= i < self.space.n:
-                raise ValueError(f"point index {i} out of range")
+        members_of(self.space, prefix + cycle)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
 
 
-def open_ball(space: Space, center: int, radius: DistLike) -> Subset:
+def open_ball(space: Space, center: int, radius: DistLike) -> frozenset[int]:
     """All points at distance strictly less than ``radius`` from ``center``."""
-    if not 0 <= center < space.n:
-        raise ValueError(f"point index {center} out of range")
+    members_of(space, (center,))
     r = as_dist(radius)
     if r == 0:
         raise ValueError("ball radius must be positive")
-    return Subset(
-        space, frozenset(x for x in range(space.n) if space.matrix[center][x] < r)
-    )
+    return frozenset(x for x in range(space.n) if space.matrix[center][x] < r)
 
 
-def is_open(space: Space, A: SetLike) -> bool:
+def is_open(space: Space, A: Iterable[int]) -> bool:
     """True iff ``A`` is a union of open balls, i.e. a union of zero classes."""
     members = members_of(space, A)
     part = zero_classes(space)
     return all(part.block_of(a) <= members for a in members)
 
 
-def is_closed(space: Space, A: SetLike) -> bool:
+def is_closed(space: Space, A: Iterable[int]) -> bool:
     """True iff the complement is open; on a finite space, iff ``A`` is open."""
     return is_open(space, A)
 
 
-def closure(space: Space, A: SetLike) -> Subset:
+def closure(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Points at distance 0 from ``A``: the smallest closed superset.
 
     Finite-space form of the topological closure, which is the saturation
@@ -86,21 +79,18 @@ def closure(space: Space, A: SetLike) -> Subset:
     return saturate(space, A)
 
 
-def interior(space: Space, A: SetLike) -> Subset:
+def interior(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Complement of the closure of the complement: the zero classes inside ``A``."""
     members = members_of(space, A)
     blocks = zero_classes(space).blocks
-    return Subset(space, frozenset().union(*(b for b in blocks if b <= members)))
+    return frozenset().union(*(b for b in blocks if b <= members))
 
 
-def boundary(space: Space, A: SetLike) -> Subset:
+def boundary(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Closure of ``A`` minus its interior: the zero classes ``A`` splits."""
     members = members_of(space, A)
     blocks = zero_classes(space).blocks
-    return Subset(
-        space,
-        frozenset().union(*(b for b in blocks if b & members and not b <= members)),
-    )
+    return frozenset().union(*(b for b in blocks if b & members and not b <= members))
 
 
 def is_cauchy(seq: EPSequence) -> bool:
@@ -115,7 +105,7 @@ def is_cauchy(seq: EPSequence) -> bool:
     return len({part.block_index(i) for i in seq.cycle}) == 1
 
 
-def limit_points(seq: EPSequence) -> Subset:
+def limit_points(seq: EPSequence) -> frozenset[int]:
     """All points the sequence converges to: a whole zero-distance class, or none.
 
     A point ``a`` is a limit iff the distance to the sequence tends to 0,
@@ -123,11 +113,11 @@ def limit_points(seq: EPSequence) -> Subset:
     distance 0 from ``a``.
     """
     if not is_cauchy(seq):
-        return Subset(seq.space, frozenset())
+        return frozenset()
     return class_of(seq.space, seq.cycle[0])
 
 
-def complete_via_boundary(space: Space, A: SetLike) -> bool:
+def complete_via_boundary(space: Space, A: Iterable[int]) -> bool:
     """Boundary criterion for completeness of a subset.
 
     True iff every boundary point's zero-distance class meets ``A``. In a
@@ -136,11 +126,10 @@ def complete_via_boundary(space: Space, A: SetLike) -> bool:
     executable and falsifiable.
     """
     members = members_of(space, A)
-    fr = boundary(space, members).members
-    return all(class_of(space, x).members & members for x in fr)
+    return all(class_of(space, x) & members for x in boundary(space, members))
 
 
-def closed_via_completeness(space: Space, A: SetLike) -> bool:
+def closed_via_completeness(space: Space, A: Iterable[int]) -> bool:
     """Closedness via completeness plus saturation, for nonempty subsets.
 
     True iff ``A`` passes the boundary completeness criterion and equals its
@@ -149,4 +138,4 @@ def closed_via_completeness(space: Space, A: SetLike) -> bool:
     members = members_of(space, A)
     if not members:
         raise ValueError("closed_via_completeness requires a nonempty subset")
-    return complete_via_boundary(space, members) and saturate(space, members).members == members
+    return complete_via_boundary(space, members) and saturate(space, members) == members

@@ -100,9 +100,9 @@ def test_criterion_02_finite_topology_equivalences():
         for A in all_subsets(space.n):
             o = is_open(space, A)
             c = is_closed(space, A)
-            s = saturate(space, A).members == A
+            s = saturate(space, A) == A
             assert o == c == s
-            assert closure(space, A).members == saturate(space, A).members
+            assert closure(space, A) == saturate(space, A)
             assert complete_via_boundary(space, A)
             if A:
                 assert closed_via_completeness(space, A) == c

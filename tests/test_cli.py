@@ -240,6 +240,14 @@ class TestCecCommand:
         )
         assert main(["cec", docs["pair"], str(sup), "--embedding", "a=u,b=v"]) == 2
 
+    def test_embedding_that_misses_a_point_exits_two(self, docs, tmp_path, capsys):
+        sup = tmp_path / "sup.json"
+        sup.write_text(
+            '{"points": ["u", "v"], "d": [["0", "1"], ["1", "0"]]}', encoding="utf-8"
+        )
+        assert main(["cec", docs["pair"], str(sup), "--embedding", "a=u"]) == 2
+        assert capsys.readouterr().err == "error: --embedding: embedding misses points: b\n"
+
 
 class TestGlueCommands:
     def test_glue_zero_emits_valid_superspace(self, docs, capsys, tmp_path):

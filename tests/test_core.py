@@ -241,37 +241,37 @@ class TestZeroClasses:
 
 class TestClassOf:
     def test_metric_space_singleton(self):
-        assert class_of(METRIC3, 1).members == {1}
+        assert class_of(METRIC3, 1) == {1}
 
     def test_indiscrete(self):
-        assert class_of(ALLZERO3, 1).members == {0, 1, 2}
+        assert class_of(ALLZERO3, 1) == {0, 1, 2}
 
     def test_partner(self):
-        assert class_of(TWO_CLASS, 1).members == {0, 1}
+        assert class_of(TWO_CLASS, 1) == {0, 1}
 
     def test_matches_partition_block(self):
         for space in (TWO_CLASS, METRIC3, ALLZERO3):
             part = zero_classes(space)
             for a in range(space.n):
-                assert class_of(space, a).members == part.block_of(a)
+                assert class_of(space, a) == part.block_of(a)
 
     def test_classes_equal_or_disjoint(self):
         for space in small_spaces(3):
             for a in range(space.n):
                 for b in range(space.n):
-                    ca, cb = class_of(space, a).members, class_of(space, b).members
+                    ca, cb = class_of(space, a), class_of(space, b)
                     assert ca == cb or not (ca & cb)
 
 
 class TestSaturate:
     def test_empty(self):
-        assert saturate(TWO_CLASS, frozenset()).members == frozenset()
+        assert saturate(TWO_CLASS, frozenset()) == frozenset()
 
     def test_metric_identity(self):
-        assert saturate(METRIC3, {0, 2}).members == {0, 2}
+        assert saturate(METRIC3, {0, 2}) == {0, 2}
 
     def test_grows_to_class(self):
-        assert saturate(TWO_CLASS, {0}).members == {0, 1}
+        assert saturate(TWO_CLASS, {0}) == {0, 1}
 
     def test_closure_operator_laws_exhaustive(self):
         spaces = [
@@ -283,10 +283,10 @@ class TestSaturate:
             n = space.n
             sats = {}
             for A in all_subsets(n):
-                s = saturate(space, A).members
+                s = saturate(space, A)
                 sats[A] = s
                 assert A <= s
-                assert saturate(space, s).members == s
+                assert saturate(space, s) == s
             for big in range(1 << n):
                 sub = big
                 while True:

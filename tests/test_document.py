@@ -75,6 +75,10 @@ def test_axiom_violations_survive_parsing():
         ('{"points": ["a"], "d": [["01"]]}', "d[0][0]"),
         ('{"points": ["a"], "d": [["1/02"]]}', "d[0][0]"),
         ('{"points": ["a"], "d": [[5]]}', "d[0][0]"),
+        ('{"points": ["a"], "d": [["1\\n"]]}', "d[0][0]"),
+        ('{"points": ["a"], "d": [["3/4\\n"]]}', "d[0][0]"),
+        ('{"points": ["a"], "d": 5}', 'd: "d" must be an array'),
+        ('{"points": ["a"], "d": [5]}', "d[0]: matrix row must be an array"),
     ],
 )
 def test_malformed_documents_report_positions(text, fragment):

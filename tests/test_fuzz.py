@@ -1,11 +1,14 @@
+import json
 from fractions import Fraction
 
 import pytest
 
+import pseudometric.fuzz
 from pseudometric import (
     GenParams,
     emit_document,
     is_metric,
+    parse_document,
     random_space,
     is_pseudoisometry,
     run_fuzz,
@@ -53,6 +56,29 @@ def test_failure_summary_renders_document_bundle():
     assert "FAILED at closure_equals_saturate" in text
     assert "--- space ---" in text
     assert '"points"' in text
+
+
+def test_failing_check_stops_the_run_with_a_counterexample(monkeypatch, capsys):
+    # A closure that forgets every point is refuted by the first nonempty set.
+    monkeypatch.setattr(pseudometric.fuzz, "closure", lambda space, A: frozenset())
+    report = run_fuzz(seed=3, count=5, max_n=4)
+    assert not report.ok
+    assert list(report.suites) == ["topology"]
+    failure = report.failure
+    assert (failure.suite, failure.check, failure.detail) == (
+        "topology", "closure_equals_saturate", "A=[0]"
+    )
+    assert failure.documents
+    for doc in failure.documents.values():
+        assert emit_document(parse_document(doc)) == doc
+
+    argv = ["fuzz", "--seed", "3", "--count", "5", "--max-n", "4", "--format", "structured"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False
+    assert list(payload["suites"]) == ["topology"]
+    assert sorted(payload["counterexample"]) == ["check", "detail", "documents", "suite"]
+    assert payload["counterexample"]["documents"] == failure.documents
 
 
 def test_morphism_generator_covers_metric_combinations():

@@ -1,7 +1,7 @@
 """The public surface: what the package exports and what its data types offer.
 
 These pins make growth deliberate: a new export or a new public method on
-``Space`` or ``Subset`` fails here until the pin is edited with it.
+``Space`` fails here until the pin is edited with it.
 """
 
 import dataclasses
@@ -9,13 +9,27 @@ import dataclasses
 import pytest
 
 import pseudometric
-from pseudometric import Space, Subset, Violation
+from pseudometric import (
+    EPSequence,
+    PointMap,
+    Space,
+    Violation,
+    boundary,
+    class_of,
+    closure,
+    glue_zero_point,
+    interior,
+    is_open,
+    limit_points,
+    open_ball,
+    saturate,
+)
 from pseudometric.core import members_of
 
 EXPORTS = [
     "Dist", "DocumentError", "EPSequence", "Embedding", "FuzzReport", "GenParams",
     "IsoSearchStats", "Partition", "PointMap", "Reflection", "Report", "ResourceLimitError",
-    "Space", "Subset", "Violation", "are_pseudoisometric", "as_dist", "boundary",
+    "Space", "Violation", "are_pseudoisometric", "as_dist", "boundary",
     "brute_force_pseudoisometry", "check_cec_minimality", "check_well_defined", "class_of",
     "closed_via_completeness", "closure", "complete_via_boundary", "completion_glue", "compose",
     "emit_document", "find_isometry", "format_dist", "glue_zero_point", "in_cec",
@@ -33,7 +47,7 @@ def _public_non_fields(cls) -> list[str]:
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 53
+    assert len(EXPORTS) == 52
     assert sorted(pseudometric.__all__) == EXPORTS
 
 
@@ -41,19 +55,53 @@ def test_every_export_resolves():
     assert [name for name in pseudometric.__all__ if not hasattr(pseudometric, name)] == []
 
 
-def test_space_and_subset_members_are_pinned():
+def test_space_members_are_pinned():
     assert _public_non_fields(Space) == ["index", "n", "validate"]
-    assert _public_non_fields(Subset) == []
 
 
-@pytest.mark.parametrize("index", [2, -1])
-def test_subset_and_members_of_share_the_index_rule(index):
+POINT_ARGUMENTS = {
+    "members_of": lambda s, i: members_of(s, {i}),
+    "class_of": class_of,
+    "saturate": lambda s, i: saturate(s, [i]),
+    "is_open": lambda s, i: is_open(s, [i]),
+    "open_ball": lambda s, i: open_ball(s, i, 1),
+    "PointMap": lambda s, i: PointMap(s, s, (0, i)),
+    "EPSequence": lambda s, i: EPSequence(s, (), (i,)),
+    "glue_zero_point": lambda s, i: glue_zero_point(s, i, "c"),
+}
+
+
+@pytest.mark.parametrize("index", [2, -1, 0.5, 1.7, "0"])
+@pytest.mark.parametrize("entry", POINT_ARGUMENTS)
+def test_every_point_argument_passes_one_index_rule(entry, index):
     space = Space(("a", "b"), ((0, 1), (1, 0)))
-    with pytest.raises(ValueError) as via_subset:
-        Subset(space, {index})
-    with pytest.raises(ValueError) as via_members_of:
-        members_of(space, {index})
-    assert str(via_subset.value) == str(via_members_of.value) == f"point index {index} out of range"
+    with pytest.raises(ValueError) as error:
+        POINT_ARGUMENTS[entry](space, index)
+    assert str(error.value) == f"point index {index!r} out of range"
+
+
+@pytest.mark.parametrize("entry", ["members_of", "PointMap"])
+def test_float_index_cannot_hide_behind_an_equal_int(entry):
+    space = Space(("a", "b"), ((0, 1), (1, 0)))
+    call = {"members_of": members_of, "PointMap": lambda s, ix: PointMap(s, s, ix)}[entry]
+    with pytest.raises(ValueError, match=r"^point index 1\.0 out of range$"):
+        call(space, (1, 1.0))
+
+
+def test_set_valued_functions_return_frozensets():
+    space = Space(("a", "b", "c"), ((0, 0, 1), (0, 0, 1), (1, 1, 0)))
+    results = [
+        class_of(space, 0),
+        saturate(space, [0]),
+        saturate(space, []),
+        open_ball(space, 0, 1),
+        closure(space, [0]),
+        interior(space, [0]),
+        boundary(space, [0]),
+        limit_points(EPSequence(space, (), (0,))),
+        limit_points(EPSequence(space, (), (0, 2))),
+    ]
+    assert [type(r) for r in results] == [frozenset] * len(results)
 
 
 @pytest.mark.parametrize(

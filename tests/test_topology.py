@@ -45,13 +45,13 @@ METRIC3 = mk("abc", [[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 class TestOpenBall:
     def test_huge_radius_gives_whole_space(self):
-        assert open_ball(METRIC3, 0, 100).members == {0, 1, 2}
+        assert open_ball(METRIC3, 0, 100) == {0, 1, 2}
 
     def test_min_positive_radius_gives_center_in_metric_space(self):
-        assert open_ball(METRIC3, 0, 1).members == {0}
+        assert open_ball(METRIC3, 0, 1) == {0}
 
     def test_ball_contains_zero_class(self):
-        assert open_ball(TWO_CLASS, 0, Fraction(1, 2)).members == {0, 1}
+        assert open_ball(TWO_CLASS, 0, Fraction(1, 2)) == {0, 1}
 
     def test_zero_radius_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +82,7 @@ class TestOpenClosed:
             for A in all_subsets(space.n):
                 o = is_open(space, A)
                 c = is_closed(space, A)
-                s = saturate(space, A).members == A
+                s = saturate(space, A) == A
                 assert o == c == s
                 assert o == open_by_definition(space, A)
                 assert c == closed_by_definition(space, A)
@@ -95,40 +95,40 @@ class TestOpenClosed:
 
 class TestClosure:
     def test_empty(self):
-        assert closure(TWO_CLASS, frozenset()).members == frozenset()
+        assert closure(TWO_CLASS, frozenset()) == frozenset()
 
     def test_metric_identity(self):
-        assert closure(METRIC3, {0, 2}).members == {0, 2}
+        assert closure(METRIC3, {0, 2}) == {0, 2}
 
     def test_grows_to_class(self):
-        assert closure(TWO_CLASS, {0}).members == {0, 1}
+        assert closure(TWO_CLASS, {0}) == {0, 1}
 
     def test_equals_saturate_and_definition(self):
         for space in small_spaces(4):
             for A in all_subsets(space.n):
-                got = closure(space, A).members
-                assert got == saturate(space, A).members
+                got = closure(space, A)
+                assert got == saturate(space, A)
                 if A:
                     assert got == closure_by_definition(space, A)
 
 
 class TestInteriorBoundary:
     def test_full_set_has_empty_boundary(self):
-        assert boundary(TWO_CLASS, range(4)).members == frozenset()
+        assert boundary(TWO_CLASS, range(4)) == frozenset()
 
     def test_metric_space_boundaries_empty(self):
         for A in all_subsets(METRIC3.n):
-            assert boundary(METRIC3, A).members == frozenset()
+            assert boundary(METRIC3, A) == frozenset()
 
     def test_half_class_boundary(self):
-        assert boundary(TWO_CLASS, {0}).members == {0, 1}
-        assert interior(TWO_CLASS, {0}).members == frozenset()
+        assert boundary(TWO_CLASS, {0}) == {0, 1}
+        assert interior(TWO_CLASS, {0}) == frozenset()
 
     def test_boundary_is_closure_minus_interior(self):
         for space in small_spaces(4):
             for A in all_subsets(space.n):
-                want = closure(space, A).members - interior(space, A).members
-                assert boundary(space, A).members == want
+                want = closure(space, A) - interior(space, A)
+                assert boundary(space, A) == want
 
     def test_boundary_against_definition(self):
         for space in small_spaces(3):
@@ -136,29 +136,29 @@ class TestInteriorBoundary:
                 rest = frozenset(range(space.n)) - A
                 want = closure_by_definition(space, A) & closure_by_definition(space, rest) if A and rest else None
                 if want is not None:
-                    assert boundary(space, A).members == want
+                    assert boundary(space, A) == want
 
 
 class TestSequences:
     def test_constant_sequence(self):
         seq = EPSequence(TWO_CLASS, (), (0,))
         assert is_cauchy(seq)
-        assert limit_points(seq).members == {0, 1}
+        assert limit_points(seq) == {0, 1}
 
     def test_zero_distance_cycle_is_cauchy(self):
         seq = EPSequence(TWO_CLASS, (2,), (0, 1))
         assert is_cauchy(seq)
-        assert limit_points(seq).members == {0, 1}
+        assert limit_points(seq) == {0, 1}
 
     def test_positive_distance_cycle_is_not(self):
         seq = EPSequence(TWO_CLASS, (), (0, 2))
         assert not is_cauchy(seq)
-        assert limit_points(seq).members == frozenset()
+        assert limit_points(seq) == frozenset()
 
     def test_prefix_is_irrelevant(self):
         noisy = EPSequence(TWO_CLASS, (2, 3, 0), (1,))
         assert is_cauchy(noisy)
-        assert limit_points(noisy).members == {0, 1}
+        assert limit_points(noisy) == {0, 1}
 
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValueError):
@@ -172,12 +172,12 @@ class TestSequences:
                           zero_merge_prob=Fraction(1, 2))
             )
             anchor = rng.randrange(space.n)
-            cls = sorted(class_of(space, anchor).members)
+            cls = sorted(class_of(space, anchor))
             cycle = tuple(rng.choice(cls) for _ in range(rng.randint(1, 3)))
             seq = EPSequence(space, (), cycle)
             assert is_cauchy(seq)
-            closed = saturate(space, set(cycle) | {rng.randrange(space.n)}).members
-            assert limit_points(seq).members & closed
+            closed = saturate(space, set(cycle) | {rng.randrange(space.n)})
+            assert limit_points(seq) & closed
 
 
 class TestCompletenessCriteria:
@@ -186,7 +186,7 @@ class TestCompletenessCriteria:
 
     def test_half_class_walkthrough(self):
         # boundary of {a} is {a,b}; both classes meet {a}
-        assert boundary(TWO_CLASS, {0}).members == {0, 1}
+        assert boundary(TWO_CLASS, {0}) == {0, 1}
         assert complete_via_boundary(TWO_CLASS, {0})
 
     def test_every_finite_subset_is_complete(self):
