@@ -19,7 +19,6 @@ from .constructions import (
 )
 from .core import (
     Dist,
-    Partition,
     PointMap,
     Report,
     Space,
@@ -75,7 +74,6 @@ __all__ = [
     "FuzzReport",
     "GenParams",
     "IsoSearchStats",
-    "Partition",
     "PointMap",
     "Reflection",
     "Report",

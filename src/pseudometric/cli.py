@@ -47,21 +47,33 @@ def _load_valid(*paths: str, require: tuple | None = None) -> list[Space]:
     return spaces
 
 
+def _point(space: Space, label: str, source: str) -> int:
+    # Every label a command line names resolves here, and an unknown one
+    # names its source: the option, or the file a default embedding reads.
+    try:
+        return space.index(label)
+    except ValueError as e:
+        raise DocumentError(str(e), source) from None
+
+
 def _parse_labels(space: Space, text: str) -> frozenset[int]:
     if not text:
         return frozenset()
-    return frozenset(space.index(lab.strip()) for lab in text.split(","))
+    return frozenset(_point(space, lab.strip(), "--set") for lab in text.split(","))
 
 
-def _parse_embedding(sub: Space, sup: Space, text: str | None) -> PointMap:
+def _parse_embedding(sub: Space, sup: Space, text: str | None, sup_path: str) -> PointMap:
     if text is None:
-        return PointMap(sub, sup, tuple(sup.index(lab) for lab in sub.labels))
+        return PointMap(sub, sup, tuple(_point(sup, lab, sup_path) for lab in sub.labels))
     images = [-1] * sub.n
     for piece in text.split(","):
         if "=" not in piece:
             raise DocumentError(f"embedding entry {piece!r} is not 'from=to'", "--embedding")
-        src, dst = piece.split("=", 1)
-        images[sub.index(src.strip())] = sup.index(dst.strip())
+        src, dst = (lab.strip() for lab in piece.split("=", 1))
+        i = _point(sub, src, "--embedding")
+        if images[i] >= 0:
+            raise DocumentError(f"point {src!r} is mapped twice", "--embedding")
+        images[i] = _point(sup, dst, "--embedding")
     missing = [sub.labels[i] for i in range(sub.n) if images[i] < 0]
     if missing:
         raise DocumentError(f"embedding misses points: {', '.join(missing)}", "--embedding")
@@ -171,7 +183,7 @@ def _cmd_pseudoisometric(args) -> Result:
 
 def _cmd_cec(args) -> Result:
     sub, sup = _load_valid(args.subfile, args.superfile)
-    e = Embedding(sub, sup, _parse_embedding(sub, sup, args.embedding))
+    e = Embedding(sub, sup, _parse_embedding(sub, sup, args.embedding, args.superfile))
     if not is_superspace(e):
         raise DocumentError("embedding is not distance-preserving and injective", args.superfile)
     member = in_cec(e)
@@ -181,7 +193,7 @@ def _cmd_cec(args) -> Result:
 
 def _cmd_glue_zero(args) -> Result:
     (space,) = _load_valid(args.file)
-    glued = glue_zero_point(space, space.index(args.center), args.label)
+    glued = glue_zero_point(space, _point(space, args.center, "--center"), args.label)
     return 0, None, [emit_document(glued.sup).rstrip("\n")]
 
 
@@ -190,7 +202,7 @@ def _cmd_complete_glue(args) -> Result:
     if y.n == 0:
         raise DocumentError("completion gluing requires a nonempty space", args.yfile)
     quotient = metric_reflection(y).quotient
-    embedding = _parse_embedding(quotient, ystar, args.embedding)
+    embedding = _parse_embedding(quotient, ystar, args.embedding, args.ystarfile)
     glued = completion_glue(y, ystar, embedding)
     return 0, None, [emit_document(glued.sup).rstrip("\n")]
 

@@ -143,72 +143,40 @@ class Space:
         return validate_pseudometric(self.labels, self.matrix)
 
     @cached_property
-    def _zero_partition(self) -> "Partition":
-        # Not a field, so equality, hashing and repr ignore it. A failed
-        # check caches nothing: every later read raises again.
-        part = Partition(self, tuple(zero_blocks_unchecked(self)))
+    def _zero_partition(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
+        # (blocks, class_of_point): the zero blocks ordered by least member,
+        # and for each point the block that holds it. Not a field, so
+        # equality, hashing and repr ignore it. A failed check caches
+        # nothing: every later read raises again.
+        blocks = tuple(zero_blocks_unchecked(self))
+        owner = {i: b for b in blocks for i in b}
+        class_of_point = tuple(owner[i] for i in range(self.n))
         for i, row in enumerate(self.matrix):
             for j, dij in enumerate(row):
-                if (dij == 0) != (part._index[i] == part._index[j]):
+                if (dij == 0) != (class_of_point[i] is class_of_point[j]):
                     rule = "symmetric" if dij == 0 else "transitive"
                     raise ValueError(
                         f"zero-distance relation is not {rule}: "
                         f"d({self.labels[i]},{self.labels[j]}) = "
                         f"{format_dist(dij)}; not a valid pseudometric"
                     )
-        return part
+        return blocks, class_of_point
 
 
 def members_of(space: Space, A: Iterable[int]) -> frozenset[int]:
     """The points of ``A`` as a frozenset, each checked to be an index of ``space``.
 
     The one rule for every point-set and point-index argument: a member that
-    is not an ``int`` in ``range(space.n)`` (a float or a string included)
-    raises ``ValueError``. Members are checked before duplicates merge, so
-    ``1.0`` cannot hide behind an equal ``1``.
+    is not an ``int`` in ``range(space.n)`` (a float, a string or a ``bool``
+    included) raises ``ValueError``. Members are checked before duplicates
+    merge, so ``1.0`` cannot hide behind an equal ``1``.
     """
     points = tuple(A)
     n = space.n
     for i in points:
-        if not (isinstance(i, int) and 0 <= i < n):
+        if not (isinstance(i, int) and not isinstance(i, bool) and 0 <= i < n):
             raise ValueError(f"point index {i!r} out of range")
     return frozenset(points)
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty blocks covering all point indices of a space.
-
-    Blocks are canonically ordered by least member, which makes every output
-    derived from a partition deterministic. A point-to-block index built at
-    construction makes :meth:`block_of` and :meth:`block_index` O(1).
-    """
-
-    space: Space
-    blocks: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        index: dict[int, int] = {}
-        for k, b in enumerate(self.blocks):
-            if not b:
-                raise ValueError("empty block")
-            for i in b:
-                if i in index:
-                    raise ValueError("blocks are not disjoint")
-                index[i] = k
-        if index.keys() != set(range(self.space.n)):
-            raise ValueError("blocks do not cover the space")
-        if list(self.blocks) != sorted(self.blocks, key=min):
-            raise ValueError("blocks must be ordered by least member")
-        object.__setattr__(self, "_index", tuple(index[i] for i in range(self.space.n)))
-
-    def block_of(self, i: int) -> frozenset[int]:
-        return self.blocks[self.block_index(i)]
-
-    def block_index(self, i: int) -> int:
-        if not 0 <= i < self.space.n:
-            raise ValueError(f"point index {i} out of range")
-        return self._index[i]
 
 
 @dataclass(frozen=True)
@@ -333,7 +301,7 @@ def is_metric(space: Space) -> bool:
 
     Read from the zero partition: every zero class is a single point.
     """
-    return len(zero_classes(space).blocks) == space.n
+    return len(zero_classes(space)) == space.n
 
 
 def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
@@ -361,10 +329,10 @@ def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
     return blocks
 
 
-def zero_classes(space: Space) -> Partition:
-    """Partition the points into classes of pairwise distance 0.
+def zero_classes(space: Space) -> tuple[frozenset[int], ...]:
+    """The classes of pairwise distance 0, ordered by least member.
 
-    The partition is computed on the first call for a space and kept with
+    The classes are computed on the first call for a space and kept with
     it; saturation, the topology and the metric reflection all read it.
     Diagnostics that must run on broken matrices use
     :func:`zero_blocks_unchecked` instead.
@@ -375,13 +343,13 @@ def zero_classes(space: Space) -> Partition:
     when ``i`` and ``j`` share a block, and a ``ValueError`` is raised on the
     first pair where it does not.
     """
-    return space._zero_partition
+    return space._zero_partition[0]
 
 
 def class_of(space: Space, a: int) -> frozenset[int]:
     """The set of points at distance 0 from point ``a``: its zero class."""
     members_of(space, (a,))
-    return zero_classes(space).block_of(a)
+    return space._zero_partition[1][a]
 
 
 def saturate(space: Space, A: Iterable[int]) -> frozenset[int]:
@@ -392,5 +360,4 @@ def saturate(space: Space, A: Iterable[int]) -> frozenset[int]:
     pseudometric topology.
     """
     members = members_of(space, A)
-    part = zero_classes(space)
-    return frozenset().union(*map(part.block_of, members))
+    return frozenset().union(*map(space._zero_partition[1].__getitem__, members))

@@ -17,7 +17,6 @@ from .core import (
     Violation,
     _pullback,
     zero_blocks_unchecked,
-    zero_classes,
 )
 
 
@@ -49,12 +48,11 @@ def metric_reflection(space: Space) -> Reflection:
     """
     if space.n == 0:
         raise ValueError("metric reflection requires a nonempty space")
-    part = zero_classes(space)
-    reps = [min(b) for b in part.blocks]
+    blocks, class_of_point = space._zero_partition
+    reps = [min(b) for b in blocks]
     quotient = _pullback(space, reps, [space.labels[r] for r in reps])
-    projection = PointMap(
-        space, quotient, tuple(part.block_index(i) for i in range(space.n))
-    )
+    number = {b: k for k, b in enumerate(blocks)}
+    projection = PointMap(space, quotient, tuple(number[b] for b in class_of_point))
     section = PointMap(quotient, space, tuple(reps))
     return Reflection(space, quotient, projection, section)
 

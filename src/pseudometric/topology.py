@@ -61,8 +61,8 @@ def open_ball(space: Space, center: int, radius: DistLike) -> frozenset[int]:
 def is_open(space: Space, A: Iterable[int]) -> bool:
     """True iff ``A`` is a union of open balls, i.e. a union of zero classes."""
     members = members_of(space, A)
-    part = zero_classes(space)
-    return all(part.block_of(a) <= members for a in members)
+    class_of_point = space._zero_partition[1]
+    return all(class_of_point[a] <= members for a in members)
 
 
 def is_closed(space: Space, A: Iterable[int]) -> bool:
@@ -82,14 +82,13 @@ def closure(space: Space, A: Iterable[int]) -> frozenset[int]:
 def interior(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Complement of the closure of the complement: the zero classes inside ``A``."""
     members = members_of(space, A)
-    blocks = zero_classes(space).blocks
-    return frozenset().union(*(b for b in blocks if b <= members))
+    return frozenset().union(*(b for b in zero_classes(space) if b <= members))
 
 
 def boundary(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Closure of ``A`` minus its interior: the zero classes ``A`` splits."""
     members = members_of(space, A)
-    blocks = zero_classes(space).blocks
+    blocks = zero_classes(space)
     return frozenset().union(*(b for b in blocks if b & members and not b <= members))
 
 
@@ -101,8 +100,8 @@ def is_cauchy(seq: EPSequence) -> bool:
     positive distance between two cycle points recurs forever and refutes
     the condition at radius half that distance.
     """
-    part = zero_classes(seq.space)
-    return len({part.block_index(i) for i in seq.cycle}) == 1
+    class_of_point = seq.space._zero_partition[1]
+    return len({class_of_point[i] for i in seq.cycle}) == 1
 
 
 def limit_points(seq: EPSequence) -> frozenset[int]:

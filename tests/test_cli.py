@@ -354,6 +354,34 @@ class TestSurrogateLabels:
         assert captured.err == "error: label '\\udcff' is not encodable as UTF-8\n"
 
 
+UVW = '{"points": ["u", "v", "w"], "d": [["0", "1", "2"], ["1", "0", "2"], ["2", "2", "0"]]}'
+
+# An unknown or repeated label in an argument names the option it came from,
+# or, for a default embedding, the superspace file that lacks the label.
+LABEL_ERRORS = {
+    "topology pair.json --set zz": "error: --set: no point labeled 'zz'\n",
+    "glue-zero pair.json --center zz --label y": "error: --center: no point labeled 'zz'\n",
+    "cec pair.json uvw.json --embedding a=zz,b=v": "error: --embedding: no point labeled 'zz'\n",
+    "complete-glue pair.json uvw.json --embedding a=zz,b=v": (
+        "error: --embedding: no point labeled 'zz'\n"
+    ),
+    "cec pair.json uvw.json": "error: uvw.json: no point labeled 'a'\n",
+    "cec pair.json uvw.json --embedding a=w,a=u,b=v": (
+        "error: --embedding: point 'a' is mapped twice\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["plain", "structured"])
+@pytest.mark.parametrize("argv", list(LABEL_ERRORS))
+def test_label_arguments_name_their_source(docs, monkeypatch, capsys, argv, fmt):
+    monkeypatch.chdir(Path(docs["pair"]).parent)
+    Path("uvw.json").write_text(UVW, encoding="utf-8")
+    code = main(argv.split() + ["--format", fmt])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", LABEL_ERRORS[argv])
+
+
 def test_module_entry_point(tmp_path):
     doc = tmp_path / "s.json"
     doc.write_text(METRIC_PAIR, encoding="utf-8")

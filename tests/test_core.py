@@ -12,6 +12,7 @@ from pseudometric import (
     class_of,
     format_dist,
     is_metric,
+    metric_reflection,
     random_space,
     saturate,
     validate_pseudometric,
@@ -206,13 +207,13 @@ class TestIsMetric:
 
 class TestZeroClasses:
     def test_indiscrete_space_single_block(self):
-        assert [sorted(b) for b in zero_classes(ALLZERO3).blocks] == [[0, 1, 2]]
+        assert [sorted(b) for b in zero_classes(ALLZERO3)] == [[0, 1, 2]]
 
     def test_metric_space_singletons(self):
-        assert [sorted(b) for b in zero_classes(METRIC3).blocks] == [[0], [1], [2]]
+        assert [sorted(b) for b in zero_classes(METRIC3)] == [[0], [1], [2]]
 
     def test_two_pair_blocks(self):
-        assert [sorted(b) for b in zero_classes(TWO_CLASS).blocks] == [[0, 1], [2, 3]]
+        assert [sorted(b) for b in zero_classes(TWO_CLASS)] == [[0, 1], [2, 3]]
 
     def test_intransitive_zeros_rejected(self):
         bad = mk("abc", [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
@@ -231,12 +232,32 @@ class TestZeroClasses:
         assert repr(space) == repr(TWO_CLASS)
 
     def test_block_lookup(self):
-        part = zero_classes(TWO_CLASS)
-        assert [part.block_index(i) for i in range(4)] == [0, 0, 1, 1]
-        assert part.block_of(3) == {2, 3}
-        for bad in (-1, 4):
-            with pytest.raises(ValueError):
-                part.block_index(bad)
+        assert metric_reflection(TWO_CLASS).projection.images == (0, 0, 1, 1)
+        assert class_of(TWO_CLASS, 3) == {2, 3}
+        assert class_of(TWO_CLASS, 3) is zero_classes(TWO_CLASS)[1]
+
+
+def test_zero_classes_partition_every_space():
+    # The invariants of the zero partition, checked on every zero pattern on
+    # up to 4 points and on seeded random spaces with merged points.
+    spaces = list(small_spaces(4))
+    assert len(spaces) == 146
+    spaces += [
+        random_space(GenParams(seed=seed, n=1 + seed % 7, zero_merge_prob=Fraction(seed % 3, 3)))
+        for seed in range(200)
+    ]
+    for s in spaces:
+        blocks = zero_classes(s)
+        assert type(blocks) is tuple and zero_classes(s) is blocks
+        assert all(type(b) is frozenset and b for b in blocks)
+        assert sum(map(len, blocks)) == s.n
+        assert frozenset().union(*blocks) == set(range(s.n))
+        assert [min(b) for b in blocks] == sorted(min(b) for b in blocks)
+        images = metric_reflection(s).projection.images
+        for i in range(s.n):
+            (k,) = [k for k, b in enumerate(blocks) if i in b]
+            assert class_of(s, i) is blocks[k]
+            assert images[i] == k
 
 
 class TestClassOf:
@@ -251,9 +272,10 @@ class TestClassOf:
 
     def test_matches_partition_block(self):
         for space in (TWO_CLASS, METRIC3, ALLZERO3):
-            part = zero_classes(space)
+            blocks = zero_classes(space)
+            images = metric_reflection(space).projection.images
             for a in range(space.n):
-                assert class_of(space, a) == part.block_of(a)
+                assert class_of(space, a) == blocks[images[a]]
 
     def test_classes_equal_or_disjoint(self):
         for space in small_spaces(3):
