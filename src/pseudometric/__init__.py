@@ -7,7 +7,6 @@ exercise every invariant the library promises.
 """
 
 from .constructions import (
-    Embedding,
     GenParams,
     check_cec_minimality,
     completion_glue,
@@ -70,7 +69,6 @@ __all__ = [
     "Dist",
     "DocumentError",
     "EPSequence",
-    "Embedding",
     "FuzzReport",
     "GenParams",
     "IsoSearchStats",

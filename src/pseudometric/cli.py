@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 
-from .constructions import Embedding, completion_glue, glue_zero_point, in_cec, is_superspace
+from .constructions import completion_glue, glue_zero_point, in_cec, is_superspace
 from .core import PointMap, Space, _violation_text, format_dist, is_metric
 from .document import DocumentError, document_payload, emit_document, load_space, render_document
 from .fuzz import SUITES, run_fuzz
@@ -183,7 +183,7 @@ def _cmd_pseudoisometric(args) -> Result:
 
 def _cmd_cec(args) -> Result:
     sub, sup = _load_valid(args.subfile, args.superfile)
-    e = Embedding(sub, sup, _parse_embedding(sub, sup, args.embedding, args.superfile))
+    e = _parse_embedding(sub, sup, args.embedding, args.superfile)
     if not is_superspace(e):
         raise DocumentError("embedding is not distance-preserving and injective", args.superfile)
     member = in_cec(e)
@@ -194,7 +194,7 @@ def _cmd_cec(args) -> Result:
 def _cmd_glue_zero(args) -> Result:
     (space,) = _load_valid(args.file)
     glued = glue_zero_point(space, _point(space, args.center, "--center"), args.label)
-    return 0, None, [emit_document(glued.sup).rstrip("\n")]
+    return 0, None, [emit_document(glued.codomain).rstrip("\n")]
 
 
 def _cmd_complete_glue(args) -> Result:
@@ -203,8 +203,8 @@ def _cmd_complete_glue(args) -> Result:
         raise DocumentError("completion gluing requires a nonempty space", args.yfile)
     quotient = metric_reflection(y).quotient
     embedding = _parse_embedding(quotient, ystar, args.embedding, args.ystarfile)
-    glued = completion_glue(y, ystar, embedding)
-    return 0, None, [emit_document(glued.sup).rstrip("\n")]
+    glued = completion_glue(y, embedding)
+    return 0, None, [emit_document(glued.codomain).rstrip("\n")]
 
 
 def _cmd_fuzz(args) -> Result:

@@ -6,8 +6,10 @@ any chosen point (which produces a superspace in which the original point
 set is never closed), and gluing a metric superspace of the reflection back
 onto the original space (which produces a superspace where every new point
 keeps positive distance to the original set, and the original set is
-closed). The generators at the bottom produce reproducible random instances
-for fuzzing both constructions and everything else in the package.
+closed). A superspace is handed around as its inclusion: an injective,
+distance-preserving ``PointMap`` whose codomain is the larger space. The
+generators at the bottom produce reproducible random instances for fuzzing
+both constructions and everything else in the package.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (
     Space,
     _pullback,
     _scaled,
-    as_dist,
     is_metric,
     members_of,
 )
@@ -33,35 +34,18 @@ from .topology import is_closed
 
 
 @dataclass(frozen=True)
-class Embedding:
-    """A space sitting inside a larger one via a distance-preserving inclusion."""
-
-    sub: Space
-    sup: Space
-    inclusion: PointMap
-
-    def __post_init__(self) -> None:
-        if self.inclusion.domain != self.sub or self.inclusion.codomain != self.sup:
-            raise ValueError("inclusion must map the subspace into the superspace")
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.inclusion.images)
-
-
-@dataclass(frozen=True)
 class GenParams:
     """Parameters of the seeded generators.
 
     ``n`` is the number of points to generate (points to add, for
     superspace generation, where 0 is allowed). ``zero_merge_prob`` controls
-    how often points are glued at distance 0; ``max_entry`` bounds the raw
-    distance draws. Same params, same output, bit for bit.
+    how often points are glued at distance 0. Same params, same output, bit
+    for bit.
     """
 
     seed: int
     n: int
     zero_merge_prob: Fraction = Fraction(1, 4)
-    max_entry: Dist = Fraction(6)
 
     def __post_init__(self) -> None:
         if self.n < 0:
@@ -69,39 +53,35 @@ class GenParams:
         p = Fraction(self.zero_merge_prob)
         if not 0 <= p <= 1:
             raise ValueError("zero_merge_prob must lie in [0, 1]")
-        m = as_dist(self.max_entry)
-        if m <= 0:
-            raise ValueError("max_entry must be positive")
         object.__setattr__(self, "zero_merge_prob", p)
-        object.__setattr__(self, "max_entry", m)
 
 
-def is_superspace(e: Embedding) -> bool:
+def is_superspace(e: PointMap) -> bool:
     """True iff the inclusion is injective and preserves every distance."""
-    if len(set(e.inclusion.images)) != e.sub.n:
+    if len(set(e.images)) != e.domain.n:
         return False
-    return is_distance_preserving(e.inclusion)
+    return is_distance_preserving(e)
 
 
-def in_cec(e: Embedding) -> bool:
-    """True iff every point outside the embedded image keeps positive distance to it.
+def in_cec(e: PointMap) -> bool:
+    """True iff every point outside the image of the inclusion keeps positive distance to it.
 
     Membership in this class is what makes "complete iff closed" transfer
     from the subspace to the superspace.
     """
     if not is_superspace(e):
         raise ValueError("embedding is not a superspace inclusion")
-    image = e.image()
-    outside = [u for u in range(e.sup.n) if u not in image]
-    return all(e.sup.matrix[u][i] > 0 for u in outside for i in image)
+    image = frozenset(e.images)
+    outside = [u for u in range(e.codomain.n) if u not in image]
+    return all(e.codomain.matrix[u][i] > 0 for u in outside for i in image)
 
 
-def _inclusion(sub: Space, sup: Space) -> Embedding:
+def _inclusion(sub: Space, sup: Space) -> PointMap:
     # A superspace that lists the points of ``sub`` first, in order.
-    return Embedding(sub, sup, PointMap(sub, sup, tuple(range(sub.n))))
+    return PointMap(sub, sup, tuple(range(sub.n)))
 
 
-def glue_zero_point(x: Space, x0: int, label: str) -> Embedding:
+def glue_zero_point(x: Space, x0: int, label: str) -> PointMap:
     """Extend a nonempty space by a zero-distance twin of point ``x0``.
 
     The new point sits at distance 0 from ``x0`` and copies all its other
@@ -129,32 +109,33 @@ def _extend_labels(labels: tuple[str, ...], bases: list[str]) -> tuple[str, ...]
     return tuple(out)
 
 
-def completion_glue(y: Space, ystar: Space, refl_embedding: PointMap) -> Embedding:
+def completion_glue(y: Space, refl_embedding: PointMap) -> PointMap:
     """Glue a metric superspace of the reflection back onto the original space.
 
     ``refl_embedding`` must embed the metric reflection of ``y``
-    distance-preservingly into the metric space ``ystar``. The result keeps
+    distance-preservingly into a metric space ``ystar``, its codomain. The
+    result is the inclusion of ``y`` into the glued superspace, which keeps
     every point of ``y`` plus one point for each ``ystar`` point outside the
     embedded image; distances are pulled back through the map that sends an
     original point to the image of its zero-distance class and keeps new
     points in place. Consequences: original distances are unchanged, every
     new point is at positive distance from all of ``y`` (so the embedding
     lands in the positive-distance superspace class), and ``y`` is closed in
-    the result. If ``ystar`` is exactly the reflection, the output is ``y``
-    itself.
+    the result. If ``ystar`` is exactly the reflection, the glued superspace
+    is ``y`` itself.
 
     Labels for new points are taken from ``ystar`` and suffixed with ``*``
     until they avoid the labels of ``y``.
     """
+    ystar = refl_embedding.codomain
     if not is_metric(ystar):
         raise ValueError("the glued superspace must be a metric space")
     refl = metric_reflection(y)
-    if refl_embedding.domain != refl.quotient or refl_embedding.codomain != ystar:
+    if refl_embedding.domain != refl.quotient:
         raise ValueError(
             "embedding must map the metric reflection of the space into the superspace"
         )
-    emb = Embedding(refl.quotient, ystar, refl_embedding)
-    if not is_superspace(emb):
+    if not is_superspace(refl_embedding):
         raise ValueError("embedding of the reflection does not preserve distances")
 
     image = set(refl_embedding.images)
@@ -168,30 +149,24 @@ def completion_glue(y: Space, ystar: Space, refl_embedding: PointMap) -> Embeddi
     return _inclusion(y, _pullback(ystar, proxy, labels))
 
 
-def check_cec_minimality(y: Space, e: Embedding) -> bool:
+def check_cec_minimality(e: PointMap) -> bool:
     """Evaluate "closed in the superspace implies positive-distance class" on one instance.
 
     Any superspace class in which the embedded set is closed must consist of
     positive-distance superspaces, so this implication can never be false
     for a valid embedding; the predicate makes that claim falsifiable.
     """
-    if e.sub != y:
-        raise ValueError("embedding does not embed the given space")
     if not is_superspace(e):
         raise ValueError("embedding is not a superspace inclusion")
-    if not is_closed(e.sup, e.image()):
+    if not is_closed(e.codomain, frozenset(e.images)):
         return True
     return in_cec(e)
 
 
-def _draw_entry(rng: random.Random, max_entry: Dist) -> Dist:
-    # A positive rational in (0, max_entry] with a small denominator.
+def _draw_entry(rng: random.Random) -> Dist:
+    # A positive rational in (0, 6] with a small denominator.
     den = rng.randint(1, 4)
-    hi = math.floor(max_entry * den)
-    if hi < 1:
-        den = math.ceil(1 / max_entry)
-        hi = math.floor(max_entry * den)
-    return Fraction(rng.randint(1, hi), den)
+    return Fraction(rng.randint(1, 6 * den), den)
 
 
 def _bernoulli(rng: random.Random, p: Fraction) -> bool:
@@ -241,13 +216,13 @@ def random_space(p: GenParams) -> Space:
     rows = [[Fraction(0)] * base for _ in range(base)]
     for i in range(base):
         for j in range(i + 1, base):
-            rows[i][j] = rows[j][i] = _draw_entry(rng, p.max_entry)
+            rows[i][j] = rows[j][i] = _draw_entry(rng)
     labels = tuple(f"p{i}" for i in range(p.n))
     metric = Space(labels[:base], _shortest_path_repair(rows))
     return _pullback(metric, _clone_points(base, p.n, rng), labels)
 
 
-def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> Embedding:
+def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> PointMap:
     """Extend ``y`` by ``p.n`` generated points, preserving all original distances.
 
     Each new point is anchored to a random existing point at a random radius
@@ -264,12 +239,7 @@ def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> Embedd
     if y.n == 0 and p.n:
         # Superspace of the empty space: a standalone generated block.
         block = random_space(
-            GenParams(
-                seed=rng.getrandbits(63),
-                n=p.n,
-                zero_merge_prob=p.zero_merge_prob,
-                max_entry=p.max_entry,
-            )
+            GenParams(seed=rng.getrandbits(63), n=p.n, zero_merge_prob=p.zero_merge_prob)
         )
         return _inclusion(y, _pullback(block, range(p.n), labels))
 
@@ -280,5 +250,5 @@ def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> Embedd
         if not force_cec and _bernoulli(rng, p.zero_merge_prob):
             radii.append(Fraction(0))
         else:
-            radii.append(_draw_entry(rng, p.max_entry))
+            radii.append(_draw_entry(rng))
     return _inclusion(y, _pullback(y, [*range(y.n), *anchors], labels, radii))

@@ -1,6 +1,6 @@
 """The canonical space interchange format.
 
-A space document is a JSON object with exactly two members:
+A space document is a JSON object with exactly two members, each given once:
 
     {
       "points": ["a", "b"],
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 from .core import Dist, Space, _is_utf8, format_dist
@@ -50,6 +51,15 @@ def parse_dist_literal(text: str, where: str = "value") -> Dist:
         raise DocumentError(f"distance literal too long ({len(text)} characters)", where) from None
 
 
+def _unique_members(pairs: list[tuple[str, object]]) -> dict:
+    # A JSON object whose keys all differ; json.loads would keep the last.
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        repeated = sorted(k for k, c in Counter(k for k, _ in pairs).items() if c > 1)
+        raise DocumentError(f"repeated members: {repeated}", "$")
+    return data
+
+
 def parse_document(text: str) -> Space:
     """Parse a space document; structural problems raise :class:`DocumentError`.
 
@@ -57,7 +67,7 @@ def parse_document(text: str) -> Space:
     validation report can be produced for broken matrices.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_members)
     except json.JSONDecodeError as e:
         raise DocumentError(e.msg, f"line {e.lineno}, column {e.colno}") from None
     except RecursionError:
@@ -139,6 +149,6 @@ def load_space(path: str) -> Space:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise DocumentError(str(e), path) from None
     return parse_document(text)

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .constructions import (
-    Embedding,
     GenParams,
     _clone_points,
     check_cec_minimality,
@@ -383,13 +382,13 @@ def _run_morphisms(rec: _Recorder, rng: random.Random, count: int, max_n: int) -
             rec.check("bijective_witness_is_homeomorphism", ok, "", x=x, y=y)
 
 
-def _completion_glue_checked(rec: _Recorder, y: Space, extension: Embedding) -> Embedding:
-    completed = completion_glue(y, extension.sup, extension.inclusion)
+def _completion_glue_checked(rec: _Recorder, y: Space, extension: PointMap) -> PointMap:
+    completed = completion_glue(y, extension)
     rec.check(
         "completion_glue_validates",
-        validate_pseudometric(completed.sup.labels, completed.sup.matrix).ok,
+        validate_pseudometric(completed.codomain.labels, completed.codomain.matrix).ok,
         "",
-        glued=completed.sup,
+        glued=completed.codomain,
     )
     rec.check("completion_glue_is_superspace", is_superspace(completed), "", y=y)
     return completed
@@ -408,23 +407,23 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
         glued = glue_zero_point(y, rng.randrange(y.n), "twin")
         rec.check(
             "zero_glue_validates",
-            validate_pseudometric(glued.sup.labels, glued.sup.matrix).ok,
+            validate_pseudometric(glued.codomain.labels, glued.codomain.matrix).ok,
             "",
-            superspace=glued.sup,
+            superspace=glued.codomain,
         )
         rec.check("zero_glue_is_superspace", is_superspace(glued), "", y=y)
         rec.check(
             "zero_glue_leaves_set_unclosed",
-            not is_closed(glued.sup, glued.image()),
+            not is_closed(glued.codomain, frozenset(glued.images)),
             "",
-            superspace=glued.sup,
+            superspace=glued.codomain,
         )
-        rec.check("zero_glue_never_in_cec", not in_cec(glued), "", superspace=glued.sup)
+        rec.check("zero_glue_never_in_cec", not in_cec(glued), "", superspace=glued.codomain)
         rec.check(
             "cec_minimality_on_zero_glue",
-            check_cec_minimality(y, glued),
+            check_cec_minimality(glued),
             "",
-            superspace=glued.sup,
+            superspace=glued.codomain,
         )
 
         refl = metric_reflection(y)
@@ -435,29 +434,27 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
         )
         rec.check(
             "reflection_extension_is_metric",
-            is_metric(extension.sup),
+            is_metric(extension.codomain),
             "",
-            ystar=extension.sup,
+            ystar=extension.codomain,
         )
         completed = _completion_glue_checked(rec, y, extension)
         rec.check(
-            "completion_glue_in_cec", in_cec(completed), "", glued=completed.sup
+            "completion_glue_in_cec", in_cec(completed), "", glued=completed.codomain
         )
         rec.check(
             "completion_glue_leaves_set_closed",
-            is_closed(completed.sup, completed.image()),
+            is_closed(completed.codomain, frozenset(completed.images)),
             "",
-            glued=completed.sup,
+            glued=completed.codomain,
         )
-        identity_glue = _completion_glue_checked(
-            rec, y, Embedding(refl.quotient, refl.quotient, PointMap.identity(refl.quotient))
-        )
+        identity_glue = _completion_glue_checked(rec, y, PointMap.identity(refl.quotient))
         rec.check(
             "completion_glue_identity_reproduces_space",
-            identity_glue.sup == y,
+            identity_glue.codomain == y,
             "",
             y=y,
-            glued=identity_glue.sup,
+            glued=identity_glue.codomain,
         )
 
         extra = random_superspace(
@@ -469,23 +466,25 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
             ),
             force_cec=bool(rng.randrange(2)),
         )
-        rec.check("random_superspace_embeds", is_superspace(extra), "", y=y, superspace=extra.sup)
+        rec.check(
+            "random_superspace_embeds", is_superspace(extra), "", y=y, superspace=extra.codomain
+        )
         rec.check(
             "random_superspace_validates",
-            validate_pseudometric(extra.sup.labels, extra.sup.matrix).ok,
+            validate_pseudometric(extra.codomain.labels, extra.codomain.matrix).ok,
             "",
-            superspace=extra.sup,
+            superspace=extra.codomain,
         )
         rec.check(
             "cec_minimality_on_random_superspace",
-            check_cec_minimality(y, extra),
+            check_cec_minimality(extra),
             "",
-            superspace=extra.sup,
+            superspace=extra.codomain,
         )
         forced = random_superspace(
             y, GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 3)), force_cec=True
         )
-        rec.check("forced_superspace_in_cec", in_cec(forced), "", superspace=forced.sup)
+        rec.check("forced_superspace_in_cec", in_cec(forced), "", superspace=forced.codomain)
 
 
 _RUNNERS = {

@@ -26,13 +26,12 @@ class Reflection:
 
     The quotient has one point per zero-distance class, labeled by the
     least-index representative of the class. ``projection`` sends each
-    original point to its class; ``section`` picks the least-index
-    representative, so ``projection`` after ``section`` is the identity on
-    the quotient, and ``section`` after ``projection`` lands inside the
-    original point's class.
+    original point to its class, so its domain is the original space;
+    ``section`` picks the least-index representative, so ``projection``
+    after ``section`` is the identity on the quotient, and ``section`` after
+    ``projection`` lands inside the original point's class.
     """
 
-    source: Space
     quotient: Space
     projection: PointMap
     section: PointMap
@@ -54,7 +53,7 @@ def metric_reflection(space: Space) -> Reflection:
     number = {b: k for k, b in enumerate(blocks)}
     projection = PointMap(space, quotient, tuple(number[b] for b in class_of_point))
     section = PointMap(quotient, space, tuple(reps))
-    return Reflection(space, quotient, projection, section)
+    return Reflection(quotient, projection, section)
 
 
 def check_well_defined(space: Space) -> Report:

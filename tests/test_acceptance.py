@@ -130,8 +130,8 @@ def test_criterion_04_zero_glue_leaves_set_unclosed():
     for _ in range(500):
         space = _seeded_space(rng, 7)
         glued = glue_zero_point(space, rng.randrange(space.n), "twin")
-        assert glued.sup.validate().ok
-        assert not is_closed(glued.sup, glued.image())
+        assert glued.codomain.validate().ok
+        assert not is_closed(glued.codomain, frozenset(glued.images))
     _report(4, "zero-glue superspace", started, "500 spaces, zero violations")
 
 
@@ -146,11 +146,11 @@ def test_criterion_05_completion_glue_and_minimality():
             GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 2)),
             force_cec=True,
         )
-        glued = completion_glue(y, extension.sup, extension.inclusion)
-        assert glued.sup.validate().ok
+        glued = completion_glue(y, extension)
+        assert glued.codomain.validate().ok
         assert is_superspace(glued)
         assert in_cec(glued)
-        assert is_closed(glued.sup, glued.image())
+        assert is_closed(glued.codomain, frozenset(glued.images))
     for _ in range(500):
         y = _seeded_space(rng, 6)
         e = random_superspace(
@@ -162,7 +162,7 @@ def test_criterion_05_completion_glue_and_minimality():
             ),
             force_cec=bool(rng.randrange(2)),
         )
-        assert check_cec_minimality(y, e)
+        assert check_cec_minimality(e)
     _report(5, "completion glue + minimality", started, "500 + 500 instances")
 
 

@@ -119,6 +119,12 @@ class TestValidate:
     def test_missing_file_exits_two(self, capsys):
         assert main(["validate", "/nonexistent/nope.json"]) == 2
 
+    def test_undecodable_file_is_named(self, docs, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"points": ["\xff"], "d": [["0"]]}')
+        assert main(["isometric", docs["pair"], str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_deep_nesting_exits_two_without_traceback(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000, encoding="utf-8")

@@ -79,6 +79,8 @@ def test_axiom_violations_survive_parsing():
         ('{"points": ["a"], "d": [["3/4\\n"]]}', "d[0][0]"),
         ('{"points": ["a"], "d": 5}', 'd: "d" must be an array'),
         ('{"points": ["a"], "d": [5]}', "d[0]: matrix row must be an array"),
+        ('{"points": ["a"], "d": [["0"]], "d": [["1"]]}', "$: repeated members: ['d']"),
+        ('{"points": ["a"], "points": ["b"], "d": [["0"]]}', "$: repeated members: ['points']"),
     ],
 )
 def test_malformed_documents_report_positions(text, fragment):

@@ -27,7 +27,7 @@ from pseudometric import (
 from pseudometric.core import members_of
 
 EXPORTS = [
-    "Dist", "DocumentError", "EPSequence", "Embedding", "FuzzReport", "GenParams",
+    "Dist", "DocumentError", "EPSequence", "FuzzReport", "GenParams",
     "IsoSearchStats", "PointMap", "Reflection", "Report", "ResourceLimitError",
     "Space", "Violation", "are_pseudoisometric", "as_dist", "boundary",
     "brute_force_pseudoisometry", "check_cec_minimality", "check_well_defined", "class_of",
@@ -47,7 +47,7 @@ def _public_non_fields(cls) -> list[str]:
 
 
 def test_exports_are_pinned():
-    assert len(EXPORTS) == 51
+    assert len(EXPORTS) == 50
     assert sorted(pseudometric.__all__) == EXPORTS
 
 
