@@ -59,6 +59,23 @@ def _is_utf8(label: str) -> bool:
     return True
 
 
+def _shaped(labels: Iterable[str], matrix: Iterable[Iterable]) -> tuple[tuple, list[tuple]]:
+    # The shape rule of every matrix, checked before any entry is coerced:
+    # distinct labels, and n rows of n entries each. Returns the labels and
+    # the rows as tuples, entries untouched.
+    labels = tuple(labels)
+    if len(set(labels)) != len(labels):
+        raise ValueError("duplicate labels")
+    n = len(labels)
+    rows = [tuple(row) for row in matrix]
+    if len(rows) != n:
+        raise ValueError(f"matrix has {len(rows)} rows, expected {n}")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"matrix row {i} has length {len(row)}, expected {n}")
+    return labels, rows
+
+
 @dataclass(frozen=True)
 class Violation:
     """One broken rule, with the witnessing point indices and offending values."""
@@ -115,19 +132,9 @@ class Space:
                 raise ValueError(f"labels must be nonempty strings, got {lab!r}")
             if not _is_utf8(lab):
                 raise ValueError(f"label {lab!r} is not encodable as UTF-8")
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate labels")
-        n = len(labels)
-        if len(self.matrix) != n:
-            raise ValueError(f"matrix has {len(self.matrix)} rows, expected {n}")
-        rows = []
-        for i, row in enumerate(self.matrix):
-            row = tuple(as_dist(v) for v in row)
-            if len(row) != n:
-                raise ValueError(f"matrix row {i} has length {len(row)}, expected {n}")
-            rows.append(row)
+        labels, rows = _shaped(labels, self.matrix)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "matrix", tuple(rows))
+        object.__setattr__(self, "matrix", tuple(tuple(map(as_dist, row)) for row in rows))
 
     @property
     def n(self) -> int:
@@ -255,18 +262,11 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
     violation, each with a witness. The triangle witness ``(i, k, j)`` means
     ``d(i, j) > d(i, k) + d(k, j)``.
     """
-    labels = tuple(labels)
-    if len(set(labels)) != len(labels):
-        raise ValueError("duplicate labels")
+    labels, raw = _shaped(labels, matrix)
     n = len(labels)
-    if len(matrix) != n:
-        raise ValueError(f"matrix has {len(matrix)} rows, expected {n}")
-    rows: list[tuple[Fraction, ...]] = []
-    for i, raw_row in enumerate(matrix):
-        raw_row = tuple(raw_row)
-        if len(raw_row) != n:
-            raise ValueError(f"matrix row {i} has length {len(raw_row)}, expected {n}")
-        rows.append(tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(raw_row)))
+    rows = [
+        tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(r)) for i, r in enumerate(raw)
+    ]
 
     _, (ints,) = _scaled(rows)
     violations: list[Violation] = []
@@ -308,8 +308,8 @@ def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
     """Connected components of the distance-0 relation, ordered by least member.
 
     Reads ``d(i, j)`` for ``i < j`` only and does not require the relation
-    to be transitive; callers that need an equivalence should use
-    :func:`zero_classes`, which checks every entry against these blocks.
+    to be transitive; :func:`zero_classes` returns these blocks once every
+    entry of the matrix has been checked against them.
     """
     m = space.matrix
     blocks: list[frozenset[int]] = []
@@ -333,9 +333,8 @@ def zero_classes(space: Space) -> tuple[frozenset[int], ...]:
     """The classes of pairwise distance 0, ordered by least member.
 
     The classes are computed on the first call for a space and kept with
-    it; saturation, the topology and the metric reflection all read it.
-    Diagnostics that must run on broken matrices use
-    :func:`zero_blocks_unchecked` instead.
+    it; saturation, the topology, the reflection and the morphism checks
+    all read them.
 
     For a valid pseudometric the zero-distance relation is an equivalence
     (reflexive and symmetric by the axioms, transitive by the triangle

@@ -145,10 +145,10 @@ def emit_document(space: Space) -> str:
 
 
 def load_space(path: str) -> Space:
-    """Read and parse a space document from a file."""
+    """Read and parse a space document from a file; every error names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+        return parse_document(text)
+    except (OSError, UnicodeDecodeError, DocumentError) as e:
         raise DocumentError(str(e), path) from None
-    return parse_document(text)

@@ -27,7 +27,7 @@ from .constructions import (
     random_space,
     random_superspace,
 )
-from .core import PointMap, Space, _pullback, class_of, is_metric, saturate, validate_pseudometric
+from .core import PointMap, Space, _pullback, class_of, is_metric, saturate
 from .document import emit_document
 from .morphisms import (
     are_pseudoisometric,
@@ -386,7 +386,7 @@ def _completion_glue_checked(rec: _Recorder, y: Space, extension: PointMap) -> P
     completed = completion_glue(y, extension)
     rec.check(
         "completion_glue_validates",
-        validate_pseudometric(completed.codomain.labels, completed.codomain.matrix).ok,
+        completed.codomain.validate().ok,
         "",
         glued=completed.codomain,
     )
@@ -399,7 +399,7 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
         y = _space(rng, max_n)
         rec.check(
             "random_space_validates",
-            validate_pseudometric(y.labels, y.matrix).ok,
+            y.validate().ok,
             "",
             y=y,
         )
@@ -407,7 +407,7 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
         glued = glue_zero_point(y, rng.randrange(y.n), "twin")
         rec.check(
             "zero_glue_validates",
-            validate_pseudometric(glued.codomain.labels, glued.codomain.matrix).ok,
+            glued.codomain.validate().ok,
             "",
             superspace=glued.codomain,
         )
@@ -471,7 +471,7 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
         )
         rec.check(
             "random_superspace_validates",
-            validate_pseudometric(extra.codomain.labels, extra.codomain.matrix).ok,
+            extra.codomain.validate().ok,
             "",
             superspace=extra.codomain,
         )

@@ -22,13 +22,17 @@ from .core import (
     Violation,
     _scaled,
     is_metric,
-    zero_blocks_unchecked,
+    zero_classes,
 )
 from .reflection import metric_reflection
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration would exceed its configured cap."""
+    """Raised when an enumeration would exceed its cap."""
+
+
+# The most maps `brute_force_pseudoisometry` enumerates.
+_MAP_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def is_pseudoisometry(m: PointMap) -> Report:
         for i, j, want, got in _distance_mismatches(m)
     ]
     image = set(m.images)
-    for block in zero_blocks_unchecked(m.codomain):
+    for block in zero_classes(m.codomain):
         if not block & image:
             violations.append(Violation("unreached_class", (min(block),)))
     return Report.from_violations(violations)
@@ -224,23 +228,22 @@ def are_pseudoisometric(x: Space, y: Space) -> PointMap | None:
     return compose(compose(rx.projection, quotient_iso), ry.section)
 
 
-def brute_force_pseudoisometry(
-    x: Space, y: Space, cap: int = 10**6
-) -> PointMap | None:
+def brute_force_pseudoisometry(x: Space, y: Space) -> PointMap | None:
     """Enumerate every total map from ``x`` to ``y`` and return the first pseudoisometry.
 
     Maps are tried in lexicographic image order, so the witness is
-    deterministic. The enumeration size ``|y| ** |x|`` must stay within
-    ``cap``; beyond that a :class:`ResourceLimitError` is raised. This is
-    the independent oracle against the reflection-based search.
+    deterministic. Coverage is checked by the definition, without zero
+    classes: every point of ``y`` must be at distance 0 from some image.
+    The enumeration size ``|y| ** |x|`` must stay within 10**6 maps; beyond
+    that a :class:`ResourceLimitError` is raised. This is the independent
+    oracle against the reflection-based search.
     """
     total = y.n**x.n
-    if total > cap:
+    if total > _MAP_CAP:
         raise ResourceLimitError(
-            f"enumerating {y.n}^{x.n} = {total} maps exceeds the cap of {cap}"
+            f"enumerating {y.n}^{x.n} = {total} maps exceeds the cap of {_MAP_CAP}"
         )
     dm, cm = x.matrix, y.matrix
-    blocks = zero_blocks_unchecked(y)
     for images in itertools.product(range(y.n), repeat=x.n):
         ok = True
         for i in range(x.n):
@@ -253,6 +256,6 @@ def brute_force_pseudoisometry(
         if not ok:
             continue
         hit = set(images)
-        if all(block & hit for block in blocks):
+        if all(any(cm[u][v] == 0 for v in hit) for u in range(y.n)):
             return PointMap(x, y, images)
     return None

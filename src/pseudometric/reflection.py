@@ -16,7 +16,7 @@ from .core import (
     Space,
     Violation,
     _pullback,
-    zero_blocks_unchecked,
+    zero_classes,
 )
 
 
@@ -47,11 +47,11 @@ def metric_reflection(space: Space) -> Reflection:
     """
     if space.n == 0:
         raise ValueError("metric reflection requires a nonempty space")
-    blocks, class_of_point = space._zero_partition
+    blocks = zero_classes(space)
     reps = [min(b) for b in blocks]
     quotient = _pullback(space, reps, [space.labels[r] for r in reps])
-    number = {b: k for k, b in enumerate(blocks)}
-    projection = PointMap(space, quotient, tuple(number[b] for b in class_of_point))
+    number = {i: k for k, b in enumerate(blocks) for i in b}
+    projection = PointMap(space, quotient, tuple(number[i] for i in range(space.n)))
     section = PointMap(quotient, space, tuple(reps))
     return Reflection(quotient, projection, section)
 
@@ -59,13 +59,15 @@ def metric_reflection(space: Space) -> Reflection:
 def check_well_defined(space: Space) -> Report:
     """Verify that class-to-class distances are representative-independent.
 
-    For every pair of zero-distance blocks, the distance between members
+    For every pair of zero-distance classes, the distance between members
     must not depend on which members are chosen. A valid pseudometric can
     never violate this; a matrix that breaks the triangle inequality can,
     and every violating quadruple ``(x, y, x', y')`` with
-    ``d(x, y) != d(x', y')`` is reported.
+    ``d(x, y) != d(x', y')`` is reported. A zero pattern that is not an
+    equivalence has no classes and raises ``ValueError``, as in
+    :func:`~pseudometric.core.zero_classes`.
     """
-    blocks = zero_blocks_unchecked(space)
+    blocks = zero_classes(space)
     violations = []
     for p, bp in enumerate(blocks):
         for q in range(p, len(blocks)):

@@ -61,8 +61,7 @@ def open_ball(space: Space, center: int, radius: DistLike) -> frozenset[int]:
 def is_open(space: Space, A: Iterable[int]) -> bool:
     """True iff ``A`` is a union of open balls, i.e. a union of zero classes."""
     members = members_of(space, A)
-    class_of_point = space._zero_partition[1]
-    return all(class_of_point[a] <= members for a in members)
+    return saturate(space, members) == members
 
 
 def is_closed(space: Space, A: Iterable[int]) -> bool:
@@ -100,8 +99,7 @@ def is_cauchy(seq: EPSequence) -> bool:
     positive distance between two cycle points recurs forever and refutes
     the condition at radius half that distance.
     """
-    class_of_point = seq.space._zero_partition[1]
-    return len({class_of_point[i] for i in seq.cycle}) == 1
+    return saturate(seq.space, seq.cycle) == class_of(seq.space, seq.cycle[0])
 
 
 def limit_points(seq: EPSequence) -> frozenset[int]:

@@ -125,6 +125,12 @@ class TestValidate:
         assert main(["isometric", docs["pair"], str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_parse_error_names_its_file(self, docs, tmp_path, capsys):
+        bad = tmp_path / "oops.json"
+        bad.write_text("{oops", encoding="utf-8")
+        assert main(["isometric", docs["pair"], str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1, column 2: ")
+
     def test_deep_nesting_exits_two_without_traceback(self, tmp_path, capsys):
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100_000, encoding="utf-8")
@@ -350,7 +356,9 @@ class TestSurrogateLabels:
         assert main([command, str(path), "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: points[0]: label '\\ud800' is not encodable as UTF-8\n"
+        assert captured.err == (
+            f"error: {path}: points[0]: label '\\ud800' is not encodable as UTF-8\n"
+        )
 
     def test_glue_zero_label_argument_exits_two(self, docs, capsys):
         argv = ["glue-zero", docs["pair"], "--center", "a", "--label", "\udcff"]

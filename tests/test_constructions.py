@@ -44,7 +44,10 @@ class TestSuperspace:
     def test_non_injective_inclusion_detected(self):
         zeros = mk("ab", [[0, 0], [0, 0]])
         sup = mk("z", [[0]])
-        assert not is_superspace(PointMap(zeros, sup, (0, 0)))
+        e = PointMap(zeros, sup, (0, 0))
+        assert not is_superspace(e)
+        with pytest.raises(ValueError, match="not a superspace inclusion"):
+            check_cec_minimality(e)
 
 
 class TestCec:
@@ -148,6 +151,11 @@ class TestCompletionGlue:
         bad = mk(("a", "p"), [[0, 0], [0, 0]])
         with pytest.raises(ValueError):
             completion_glue(y, PointMap(quotient, bad, (0,)))
+
+    def test_embedding_of_another_space_rejected(self):
+        y = mk("ab", [[0, 0], [0, 0]])
+        with pytest.raises(ValueError, match="must map the metric reflection"):
+            completion_glue(y, PointMap.identity(PAIR))
 
     def test_distorting_embedding_rejected(self):
         y = mk("abc", [[0, 0, 2], [0, 0, 2], [2, 2, 0]])

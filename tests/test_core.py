@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pseudometric import (
     GenParams,
+    PointMap,
     Space,
     as_dist,
     class_of,
@@ -178,6 +179,13 @@ class TestSpace:
             Space(("a",), ((0, 0),))
         with pytest.raises(ValueError):
             Space(("a", "b"), ((0, -1), (-1, 0)))
+        for label in ("", 1):
+            with pytest.raises(ValueError, match="labels must be nonempty strings"):
+                Space((label,), ((0,),))
+        with pytest.raises(ValueError, match="matrix has 1 rows, expected 2"):
+            Space(("a", "b"), ((0, 1),))
+        with pytest.raises(ValueError, match="map has 1 images, expected 4"):
+            PointMap(TWO_CLASS, TWO_CLASS, (0,))
 
     @pytest.mark.parametrize("label", ["\ud800", "a\udcff"], ids=["high", "escaped-byte"])
     def test_label_without_utf8_form_rejected(self, label):

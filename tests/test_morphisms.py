@@ -7,6 +7,7 @@ import pytest
 
 from pseudometric import (
     GenParams,
+    IsoSearchStats,
     PointMap,
     ResourceLimitError,
     Space,
@@ -201,6 +202,8 @@ class TestFindIsometry:
         _, stats = find_isometry(PAIR1, PAIR1)
         assert stats.nodes >= 0 and stats.signature_prunes >= 0
         assert stats.distance_checks >= 0
+        with pytest.raises(ValueError, match="non-negative"):
+            IsoSearchStats(nodes=-1)
 
     def test_strongly_regular_pair_counters(self):
         # The 4x4 rook graph and the Shrikhande graph are both SRG(16,6,2,2),
@@ -288,9 +291,11 @@ class TestBruteForce:
         assert m is not None and m.images == (0, 0)
 
     def test_cap_enforced(self):
-        big = metric_reflection(random_space(GenParams(seed=1, n=6))).quotient
+        # 8^8 maps exceed the oracle's cap of 10^6.
+        big = random_space(GenParams(seed=1, n=8, zero_merge_prob=Fraction(0)))
+        assert big.n == 8
         with pytest.raises(ResourceLimitError):
-            brute_force_pseudoisometry(big, big, cap=10)
+            brute_force_pseudoisometry(big, big)
 
 
 class TestMorphismProperties:

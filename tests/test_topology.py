@@ -6,7 +6,9 @@ import pytest
 from pseudometric import (
     EPSequence,
     GenParams,
+    PointMap,
     Space,
+    check_well_defined,
     class_of,
     boundary,
     closed_via_completeness,
@@ -18,6 +20,7 @@ from pseudometric import (
     is_closed,
     is_metric,
     is_open,
+    is_pseudoisometry,
     limit_points,
     metric_reflection,
     open_ball,
@@ -248,6 +251,8 @@ class TestInvalidZeroPattern:
         "is_metric": lambda s: is_metric(s),
         "find_isometry": lambda s: find_isometry(s, s),
         "is_cauchy": lambda s: is_cauchy(EPSequence(s, (), (0, 1))),
+        "is_pseudoisometry": lambda s: is_pseudoisometry(PointMap.identity(s)),
+        "check_well_defined": lambda s: check_well_defined(s),
     }
 
     @pytest.mark.parametrize("name", list(QUERIES))
