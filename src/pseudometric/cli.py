@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -227,7 +228,11 @@ def _cmd_fuzz(args) -> Result:
     return (0 if report.ok else 1), payload, [report.summary()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process. Each subcommand keeps its handler's name, not
+    # the function, and ``main`` looks it up here at call time, so a rebound
+    # ``_cmd_*`` is still the one that runs.
     parser = argparse.ArgumentParser(
         prog="pseudometric",
         description="Finite pseudometric spaces with exact rational distances.",
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func.__name__)
         p.add_argument(
             "--format", choices=("plain", "structured"), default="plain",
             help="plain text or machine-readable JSON output",
@@ -300,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        code, payload, lines = args.func(args)
+        code, payload, lines = globals()[args.func](args)
     except (ResourceLimitError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3

@@ -61,9 +61,14 @@ def _is_utf8(label: str) -> bool:
 
 def _shaped(labels: Iterable[str], matrix: Iterable[Iterable]) -> tuple[tuple, list[tuple]]:
     # The shape rule of every matrix, checked before any entry is coerced:
-    # distinct labels, and n rows of n entries each. Returns the labels and
-    # the rows as tuples, entries untouched.
+    # distinct nonempty labels that encode as UTF-8, and n rows of n entries
+    # each. Returns the labels and the rows as tuples, entries untouched.
     labels = tuple(labels)
+    for lab in labels:
+        if not isinstance(lab, str) or not lab:
+            raise ValueError(f"labels must be nonempty strings, got {lab!r}")
+        if not _is_utf8(lab):
+            raise ValueError(f"label {lab!r} is not encodable as UTF-8")
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels")
     n = len(labels)
@@ -126,13 +131,7 @@ class Space:
     matrix: tuple[tuple[Dist, ...], ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        for lab in labels:
-            if not isinstance(lab, str) or not lab:
-                raise ValueError(f"labels must be nonempty strings, got {lab!r}")
-            if not _is_utf8(lab):
-                raise ValueError(f"label {lab!r} is not encodable as UTF-8")
-        labels, rows = _shaped(labels, self.matrix)
+        labels, rows = _shaped(self.labels, self.matrix)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", tuple(tuple(map(as_dist, row)) for row in rows))
 
@@ -255,17 +254,21 @@ def _raw_rational(value: object, where: str) -> Fraction:
 def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[object]]) -> Report:
     """Check the pseudometric axioms on raw input, reporting every violation.
 
-    Structural problems (non-square matrix, dimension mismatch, duplicate
-    labels, unparseable entries) raise ``ValueError``; they are input errors,
-    not axiom violations. Axiom violations are collected exhaustively:
-    negativity, nonzero diagonal, asymmetry, and every ordered triangle
-    violation, each with a witness. The triangle witness ``(i, k, j)`` means
-    ``d(i, j) > d(i, k) + d(k, j)``.
+    Structural problems (non-square matrix, dimension mismatch, labels that
+    no :class:`Space` could hold, unparseable entries) raise ``ValueError``;
+    they are input errors, not axiom violations. Axiom violations are
+    collected exhaustively: negativity, nonzero diagonal, asymmetry, and
+    every ordered triangle violation, each with a witness. The triangle
+    witness ``(i, k, j)`` means ``d(i, j) > d(i, k) + d(k, j)``.
     """
     labels, raw = _shaped(labels, matrix)
     n = len(labels)
+    # A row of Fractions (every Space row) is already what _raw_rational returns.
     rows = [
-        tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(r)) for i, r in enumerate(raw)
+        r
+        if all(type(v) is Fraction for v in r)
+        else tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(r))
+        for i, r in enumerate(raw)
     ]
 
     _, (ints,) = _scaled(rows)
@@ -277,22 +280,33 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
     for i, ri in enumerate(ints):
         if ri[i] != 0:
             violations.append(Violation("diagonal", (i,), (rows[i][i],)))
+    before_symmetry = len(violations)
     for i, ri in enumerate(ints):
         for j in range(i + 1, n):
             if ri[j] != ints[j][i]:
                 violations.append(Violation("symmetry", (i, j), (rows[i][j], rows[j][i])))
+    symmetric = len(violations) == before_symmetry
     # One C-level pass per (i, j) finds the shortest two-step path; only a
     # pair that some k violates is walked again, in k order, for witnesses.
+    # On a symmetric matrix (i, k, j) violates iff (j, k, i) does, so the
+    # pairs with i <= j find them all. The diagonal stays in: with negative
+    # entries d(i, i) > d(i, k) + d(k, i) can hold.
     cols = list(zip(*ints))
-    for i, ri in enumerate(ints):
-        for j, cj in enumerate(cols):
-            dij = ri[j]
-            if dij > min(map(add, ri, cj)):
-                for k in range(n):
-                    if dij > ri[k] + cj[k]:
-                        violations.append(
-                            Violation("triangle", (i, k, j), (rows[i][j], rows[i][k], rows[k][j]))
-                        )
+    pairs = [
+        (i, j)
+        for i, ri in enumerate(ints)
+        for j in range(i if symmetric else 0, n)
+        if ri[j] > min(map(add, ri, cols[j]))
+    ]
+    if symmetric:
+        pairs = sorted(pairs + [(j, i) for i, j in pairs if i != j])
+    for i, j in pairs:
+        ri, cj, dij = ints[i], cols[j], ints[i][j]
+        for k in range(n):
+            if dij > ri[k] + cj[k]:
+                violations.append(
+                    Violation("triangle", (i, k, j), (rows[i][j], rows[i][k], rows[k][j]))
+                )
     return Report.from_violations(violations)
 
 

@@ -101,6 +101,10 @@ def parse_document(text: str) -> Space:
     if len(d) != len(labels):
         raise DocumentError(f'"d" has {len(d)} rows, expected {len(labels)}', "d")
     rows: list[tuple[Fraction, ...]] = []
+    # Each distinct literal is parsed once. Only successful parses are kept,
+    # so a bad literal still fails at its first position; only strings
+    # parse, so an unhashable entry never reaches the memo.
+    memo: dict[str, Fraction] = {}
     for i, row in enumerate(d):
         if not isinstance(row, list):
             raise DocumentError("matrix row must be an array", f"d[{i}]")
@@ -108,9 +112,13 @@ def parse_document(text: str) -> Space:
             raise DocumentError(
                 f"row has {len(row)} entries, expected {len(labels)}", f"d[{i}]"
             )
-        rows.append(
-            tuple(parse_dist_literal(v, f"d[{i}][{j}]") for j, v in enumerate(row))
-        )
+        entries = []
+        for j, v in enumerate(row):
+            x = memo.get(v) if type(v) is str else None
+            if x is None:
+                x = memo[v] = parse_dist_literal(v, f"d[{i}][{j}]")
+            entries.append(x)
+        rows.append(tuple(entries))
     return Space(tuple(labels), tuple(rows))
 
 

@@ -423,6 +423,23 @@ def test_out_of_memory_exits_three(monkeypatch, capsys):
     assert (captured.out, captured.err) == ("", "error: out of memory\n")
 
 
+def test_patched_command_runs_after_the_parser_is_built(monkeypatch, capsys):
+    # The parser is built once per process; a handler rebound afterwards
+    # must still be the one that runs.
+    assert main(["no-such-command"]) == 2
+    calls = []
+
+    def patched(args):
+        calls.append(args.seed)
+        return 0, None, ["patched"]
+
+    monkeypatch.setattr(cli, "_cmd_fuzz", patched)
+    capsys.readouterr()
+    assert main(["fuzz", "--seed", "5"]) == 0
+    assert calls == [5]
+    assert capsys.readouterr().out == "patched\n"
+
+
 def _json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

@@ -90,6 +90,27 @@ class TestValidate:
         with pytest.raises(ValueError):
             validate_pseudometric("ab", [[0, 1], [1]])
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            ((1, ""), "labels must be nonempty strings, got 1"),
+            (("a", ""), "labels must be nonempty strings, got ''"),
+            (("", ""), "labels must be nonempty strings, got ''"),
+            (("a", "\ud800"), "label '\\ud800' is not encodable as UTF-8"),
+            (("a", "a"), "duplicate labels"),
+        ],
+        ids=["int", "empty", "empty-twice", "surrogate", "duplicate"],
+    )
+    def test_labels_follow_the_space_rule(self, labels, message):
+        # The raw-matrix check accepts exactly the labels a Space can hold,
+        # with the same first error.
+        rows = [[0, 1], [1, 0]]
+        with pytest.raises(ValueError) as from_space:
+            Space(labels, rows)
+        with pytest.raises(ValueError) as from_validate:
+            validate_pseudometric(labels, rows)
+        assert str(from_validate.value) == str(from_space.value) == message
+
     def test_negative_and_asymmetry_reported(self):
         report = validate_pseudometric("ab", [[0, -1], [2, 0]])
         rules = {v.rule for v in report.violations}

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from pseudometric import (
     parse_document,
     random_space,
 )
+from pseudometric.document import parse_dist_literal
 
 CANONICAL = """{
   "points": ["a", "b"],
@@ -79,6 +81,10 @@ def test_axiom_violations_survive_parsing():
         ('{"points": ["a"], "d": [["3/4\\n"]]}', "d[0][0]"),
         ('{"points": ["a"], "d": 5}', 'd: "d" must be an array'),
         ('{"points": ["a"], "d": [5]}', "d[0]: matrix row must be an array"),
+        ('{"points": ["a"], "d": [[["0"]]]}', "d[0][0]: expected a distance string, got list"),
+        ('{"points": ["a"], "d": [[{}]]}', "d[0][0]: expected a distance string, got dict"),
+        ('{"points": ["a", "b"], "d": [["0", "1"], ["1", 0]]}', "d[1][1]"),
+        ('{"points": ["a", "b"], "d": [["0", "1"], ["1", "01"]]}', "d[1][1]"),
         ('{"points": ["a"], "d": [["0"]], "d": [["1"]]}', "$: repeated members: ['d']"),
         ('{"points": ["a"], "points": ["b"], "d": [["0"]]}', "$: repeated members: ['points']"),
     ],
@@ -87,6 +93,20 @@ def test_malformed_documents_report_positions(text, fragment):
     with pytest.raises(DocumentError) as err:
         parse_document(text)
     assert fragment in str(err.value)
+
+
+def test_repeated_literals_parse_as_each_entry_alone():
+    rng = random.Random(12)
+    pool = ["0", "1", "2/4", "1/2", "3", "10/3", "20/6", "7/21", "123456789/1000"]
+    n = 40
+    d = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+    space = parse_document(json.dumps({"points": [f"p{i}" for i in range(n)], "d": d}))
+    assert space.matrix == tuple(tuple(parse_dist_literal(v) for v in row) for row in d)
+    # Equal literals share one Fraction.
+    first: dict[str, Fraction] = {}
+    for row, literals in zip(space.matrix, d):
+        for x, literal in zip(row, literals):
+            assert first.setdefault(literal, x) is x
 
 
 @pytest.mark.parametrize(
