@@ -204,7 +204,11 @@ def _cmd_complete_glue(args) -> Result:
         raise DocumentError("completion gluing requires a nonempty space", args.yfile)
     quotient = metric_reflection(y).quotient
     embedding = _parse_embedding(quotient, ystar, args.embedding, args.ystarfile)
-    glued = completion_glue(y, embedding)
+    try:
+        glued = completion_glue(y, embedding)
+    except ValueError as e:
+        # y is valid and nonempty, so the fault is in ystar or the map.
+        raise DocumentError(str(e), args.ystarfile) from None
     return 0, None, [emit_document(glued.codomain).rstrip("\n")]
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Dist = Fraction
 
@@ -31,12 +31,19 @@ DistLike = Union[Dist, int, str]
 def as_dist(value: DistLike) -> Dist:
     """Coerce ``value`` to a non-negative exact rational distance.
 
-    Floats are rejected outright: binary rounding would make exact
-    zero-distance tests meaningless.
+    Floats are rejected outright with ``TypeError``: binary rounding would
+    make exact zero-distance tests meaningless. Anything else that
+    ``Fraction`` cannot read raises ``ValueError``.
     """
-    if isinstance(value, float):
+    if type(value) is Fraction:
+        d = value
+    elif isinstance(value, float):
         raise TypeError("float distances are not allowed; pass int, str or Fraction")
-    d = value if type(value) is Fraction else Fraction(value)
+    else:
+        try:
+            d = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"distance is not a rational number: {value!r}") from None
     if d.numerator < 0:  # the denominator is always positive
         raise ValueError(f"distance must be non-negative, got {d}")
     return d
@@ -207,6 +214,17 @@ class PointMap:
     @classmethod
     def identity(cls, space: Space) -> "PointMap":
         return cls(space, space, tuple(range(space.n)))
+
+
+def _distance_mismatches(m: PointMap) -> Iterator[tuple[int, int, Dist, Dist]]:
+    # Every domain pair i < j whose distance the map changes, in row-major
+    # order, as (i, j, domain distance, codomain distance of the images).
+    dm, cm, images = m.domain.matrix, m.codomain.matrix, m.images
+    for i in range(m.domain.n):
+        for j in range(i + 1, m.domain.n):
+            got = cm[images[i]][images[j]]
+            if got != dm[i][j]:
+                yield i, j, dm[i][j], got
 
 
 def _pullback(

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import (
-    Dist,
     PointMap,
     Report,
     Space,
     Violation,
+    _distance_mismatches,
     _scaled,
     is_metric,
     zero_classes,
@@ -51,17 +50,6 @@ class IsoSearchStats:
     def __post_init__(self) -> None:
         if min(self.nodes, self.signature_prunes, self.distance_checks) < 0:
             raise ValueError("stats counters must be non-negative")
-
-
-def _distance_mismatches(m: PointMap) -> Iterator[tuple[int, int, Dist, Dist]]:
-    # Every domain pair i < j whose distance the map changes, in row-major
-    # order, as (i, j, domain distance, codomain distance of the images).
-    dm, cm, images = m.domain.matrix, m.codomain.matrix, m.images
-    for i in range(m.domain.n):
-        for j in range(i + 1, m.domain.n):
-            got = cm[images[i]][images[j]]
-            if got != dm[i][j]:
-                yield i, j, dm[i][j], got
 
 
 def is_distance_preserving(m: PointMap) -> bool:

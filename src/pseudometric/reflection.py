@@ -15,6 +15,7 @@ from .core import (
     Report,
     Space,
     Violation,
+    _distance_mismatches,
     _pullback,
     zero_classes,
 )
@@ -59,32 +60,19 @@ def metric_reflection(space: Space) -> Reflection:
 def check_well_defined(space: Space) -> Report:
     """Verify that class-to-class distances are representative-independent.
 
-    For every pair of zero-distance classes, the distance between members
-    must not depend on which members are chosen. A valid pseudometric can
-    never violate this; a matrix that breaks the triangle inequality can,
-    and every violating quadruple ``(x, y, x', y')`` with
-    ``d(x, y) != d(x', y')`` is reported. A zero pattern that is not an
-    equivalence has no classes and raises ``ValueError``, as in
-    :func:`~pseudometric.core.zero_classes`.
+    They are exactly when the retraction ``r`` onto least class members
+    preserves distances. Each pair ``i < j``, in row-major order, with
+    ``d(i, j) != d(r(i), r(j))`` is reported as ``(r(i), r(j), i, j)`` with
+    values ``(d(r(i), r(j)), d(i, j))``; only a matrix that breaks the
+    triangle inequality or symmetry has one. A zero pattern that is not an
+    equivalence raises ``ValueError``, as in :func:`~pseudometric.core.zero_classes`.
     """
-    blocks = zero_classes(space)
-    violations = []
-    for p, bp in enumerate(blocks):
-        for q in range(p, len(blocks)):
-            bq = blocks[q]
-            x0, y0 = min(bp), min(bq)
-            base = space.matrix[x0][y0]
-            for x in sorted(bp):
-                for y in sorted(bq):
-                    if space.matrix[x][y] != base:
-                        violations.append(
-                            Violation(
-                                "class_distance",
-                                (x0, y0, x, y),
-                                (base, space.matrix[x][y]),
-                            )
-                        )
-    return Report.from_violations(violations)
+    least = {i: min(b) for b in zero_classes(space) for i in b}
+    r = PointMap(space, space, tuple(least[i] for i in range(space.n)))
+    return Report.from_violations(
+        Violation("class_distance", (r.images[i], r.images[j], i, j), (got, want))
+        for i, j, want, got in _distance_mismatches(r)
+    )
 
 
 def projection_as_pseudoisometry(space: Space) -> PointMap:

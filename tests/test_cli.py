@@ -289,16 +289,30 @@ class TestGlueCommands:
         assert space.labels == ("a", "b", "p")
         assert space.validate().ok
 
-    def test_complete_glue_rejects_non_metric_target(self, docs, tmp_path):
+    def test_complete_glue_rejects_non_metric_target(self, tmp_path, capsys):
+        # Each error names the ystar file: y itself is valid and nonempty.
+        cases = [
+            (
+                [["0", "0"], ["0", "0"]],
+                '{"points": ["a", "p"], "d": [["0", "0"], ["0", "0"]]}',
+                [],
+                "the glued superspace must be a metric space",
+            ),
+            (
+                [["0", "1"], ["1", "0"]],
+                '{"points": ["u", "v", "w"], "d": [["0", "1", "2"], ["1", "0", "1"], '
+                '["2", "1", "0"]]}',
+                ["--embedding", "a=u,b=w"],
+                "embedding of the reflection does not preserve distances",
+            ),
+        ]
         y = tmp_path / "y.json"
-        y.write_text(
-            '{"points": ["a", "b"], "d": [["0", "0"], ["0", "0"]]}', encoding="utf-8"
-        )
         bad = tmp_path / "bad.json"
-        bad.write_text(
-            '{"points": ["a", "p"], "d": [["0", "0"], ["0", "0"]]}', encoding="utf-8"
-        )
-        assert main(["complete-glue", str(y), str(bad)]) == 2
+        for y_rows, bad_doc, extra, message in cases:
+            y.write_text(json.dumps({"points": ["a", "b"], "d": y_rows}), encoding="utf-8")
+            bad.write_text(bad_doc, encoding="utf-8")
+            assert main(["complete-glue", str(y), str(bad), *extra]) == 2
+            assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 class TestFuzzCommand:

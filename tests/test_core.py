@@ -56,6 +56,11 @@ class TestDist:
             as_dist(-1)
         with pytest.raises(TypeError):
             as_dist(0.5)
+        for unreadable in ("1/0", None, "x"):
+            with pytest.raises(ValueError, match="not a rational number"):
+                as_dist(unreadable)
+        with pytest.raises(ValueError, match="not a rational number"):
+            Space(("a",), [["1/0"]])
 
     def test_format_lowest_terms(self):
         assert format_dist(Fraction(4, 2)) == "2"

@@ -37,6 +37,27 @@ def test_seed_seven_summary_is_pinned():
     )
 
 
+@pytest.mark.parametrize(
+    "seed, topology, morphisms, constructions",
+    [
+        (0, 7120, 1010, 1800),
+        (1, 7705, 1073, 1800),
+        (2, 7298, 1122, 1800),
+        (3, 7015, 1183, 1800),
+        (4, 7106, 1143, 1800),
+        (5, 7818, 1149, 1800),
+    ],
+)
+def test_seed_summaries_are_pinned(seed, topology, morphisms, constructions):
+    assert run_fuzz(seed, 100, 6).summary() == (
+        f"fuzz seed={seed} count=100 max-n=6 suites=topology,morphisms,constructions\n"
+        f"topology: {topology} checks, ok\n"
+        f"morphisms: {morphisms} checks, ok\n"
+        f"constructions: {constructions} checks, ok\n"
+        f"result: PASS ({topology + morphisms + constructions} checks)"
+    )
+
+
 def test_suite_selection():
     report = run_fuzz(seed=1, count=4, max_n=4, suites=("morphisms",))
     assert set(report.suites) == {"morphisms"}

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,46 @@ class TestWellDefined:
 
     def test_metric_space_trivially_ok(self):
         assert check_well_defined(METRIC3).ok
+
+    @staticmethod
+    def planted(rng, symmetric):
+        # Random classes, 0 inside a class and 1..3 across, so the zero
+        # pattern is an equivalence but the triangle inequality often breaks.
+        n = rng.randint(1, 6)
+        cls = [rng.randrange(n) for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if cls[i] != cls[j] and (i < j or not symmetric):
+                    rows[i][j] = rng.randint(1, 3)
+                if symmetric and i > j:
+                    rows[i][j] = rows[j][i]
+        return mk("abcdef"[:n], rows)
+
+    def test_report_is_the_definition(self):
+        rng = random.Random(13)
+        broken = 0
+        for _ in range(300):
+            space = self.planted(rng, symmetric=True)
+            d, n = space.matrix, space.n
+            r = [min(y for y in range(n) if d[x][y] == 0) for x in range(n)]
+            expected = tuple(
+                Violation("class_distance", (r[i], r[j], i, j), (d[r[i]][r[j]], d[i][j]))
+                for i in range(n)
+                for j in range(i + 1, n)
+                if d[i][j] != d[r[i]][r[j]]
+            )
+            assert check_well_defined(space).violations == expected
+            broken += bool(expected)
+        assert broken > 50
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_agrees_with_the_projection_check(self, symmetric):
+        rng = random.Random(17)
+        for _ in range(300):
+            space = self.planted(rng, symmetric)
+            projection = metric_reflection(space).projection
+            assert check_well_defined(space).ok == is_pseudoisometry(projection).ok
 
 
 class TestProjection:

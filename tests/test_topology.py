@@ -59,6 +59,8 @@ class TestOpenBall:
     def test_zero_radius_rejected(self):
         with pytest.raises(ValueError):
             open_ball(METRIC3, 0, 0)
+        with pytest.raises(ValueError, match="not a rational number"):
+            open_ball(METRIC3, 0, "1/0")
 
 
 class TestOpenClosed:
