@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 from .constructions import completion_glue, glue_zero_point, in_cec, is_superspace
@@ -127,22 +128,15 @@ def _cmd_reflect(args) -> Result:
     return 0, payload, lines
 
 
-# Lambdas look the functions up at call time, so a caller that rebinds this
-# module's names (the per-layer tracer in perfbench) still sees every call.
-_TOPOLOGY_OPS = {
-    "closure": lambda s, a: closure(s, a),
-    "interior": lambda s, a: interior(s, a),
-    "boundary": lambda s, a: boundary(s, a),
-    "is-open": lambda s, a: is_open(s, a),
-    "is-closed": lambda s, a: is_closed(s, a),
-}
+# Each op calls the function of its name, looked up per call as main looks up handlers.
+_TOPOLOGY_OPS = ("closure", "interior", "boundary", "is-open", "is-closed")
 
 
 def _cmd_topology(args) -> Result:
     (space,) = _load_valid(args.file)
     members = _parse_labels(space, args.set)
-    ops = [args.op] if args.op else list(_TOPOLOGY_OPS)
-    results = {op: _TOPOLOGY_OPS[op](space, members) for op in ops}
+    ops = [args.op] if args.op else _TOPOLOGY_OPS
+    results = {op: globals()[op.replace("-", "_")](space, members) for op in ops}
     payload: dict[str, object] = {}
     lines = []
     for op, val in results.items():
@@ -215,20 +209,9 @@ def _cmd_complete_glue(args) -> Result:
 def _cmd_fuzz(args) -> Result:
     suites = SUITES if args.suite == "all" else (args.suite,)
     report = run_fuzz(args.seed, args.count, max_n=args.max_n, suites=suites)
-    payload = {
-        "seed": report.seed,
-        "count": report.count,
-        "max_n": report.max_n,
-        "suites": report.suites,
-        "ok": report.ok,
-    }
-    if report.failure is not None:
-        payload["counterexample"] = {
-            "suite": report.failure.suite,
-            "check": report.failure.check,
-            "detail": report.failure.detail,
-            "documents": report.failure.documents,
-        }
+    payload = {**dataclasses.asdict(report), "ok": report.ok}
+    if (failure := payload.pop("failure")) is not None:
+        payload["counterexample"] = failure
     return (0 if report.ok else 1), payload, [report.summary()]
 
 
@@ -317,10 +300,14 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if payload is not None and args.format == "structured":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
+        lines = [json.dumps(payload, indent=2, sort_keys=True)]
+    try:
         for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone: send the rest, and the final flush, to the null device.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

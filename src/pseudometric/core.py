@@ -167,7 +167,7 @@ class Space:
         for i, row in enumerate(self.matrix):
             for j, dij in enumerate(row):
                 if (dij == 0) != (class_of_point[i] is class_of_point[j]):
-                    rule = "symmetric" if dij == 0 else "transitive"
+                    rule = "reflexive" if i == j else "symmetric" if dij == 0 else "transitive"
                     raise ValueError(
                         f"zero-distance relation is not {rule}: "
                         f"d({self.labels[i]},{self.labels[j]}) = "

@@ -50,11 +50,9 @@ from .topology import (
     open_ball,
 )
 
-SUITES = ("topology", "morphisms", "constructions")
-
 
 @dataclass
-class CheckFailure:
+class CheckFailure(Exception):
     suite: str
     check: str
     detail: str
@@ -98,26 +96,20 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-class _SuiteFailed(Exception):
-    pass
-
-
 class _Recorder:
     def __init__(self, suite: str):
         self.suite = suite
         self.checks = 0
-        self.failure: CheckFailure | None = None
 
     def check(self, name: str, ok: bool, detail: str = "", **spaces: Space) -> None:
         self.checks += 1
         if not ok:
-            self.failure = CheckFailure(
+            raise CheckFailure(
                 self.suite,
                 name,
                 detail,
                 {k: emit_document(v) for k, v in spaces.items()},
             )
-            raise _SuiteFailed
 
 
 def _random_subset(rng: random.Random, n: int) -> frozenset[int]:
@@ -151,10 +143,10 @@ def _permuted_twin(space: Space, rng: random.Random) -> tuple[Space, PointMap]:
     return twin, PointMap(space, twin, tuple(images))
 
 
-def _space(rng: random.Random, max_n: int, zero_merge=Fraction(1, 3)) -> Space:
+def _space(rng: random.Random, max_n: int) -> Space:
     n = rng.randint(1, max_n)
     return random_space(
-        GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=zero_merge)
+        GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3))
     )
 
 
@@ -492,6 +484,8 @@ _RUNNERS = {
     "morphisms": _run_morphisms,
     "constructions": _run_constructions,
 }
+# run_fuzz seeds each suite with its index here.
+SUITES = tuple(_RUNNERS)
 
 
 def run_fuzz(
@@ -515,8 +509,8 @@ def run_fuzz(
         rng = random.Random(seed * 1_000_003 + SUITES.index(name))
         try:
             _RUNNERS[name](rec, rng, count, max_n)
-        except _SuiteFailed:
-            report.failure = rec.failure
+        except CheckFailure as failure:
+            report.failure = failure
         report.suites[name] = rec.checks
         if report.failure is not None:
             break

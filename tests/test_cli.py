@@ -186,6 +186,20 @@ class TestTopology:
     def test_unknown_label_exits_two(self, docs):
         assert main(["topology", docs["classes"], "--set", "zz", "--op", "closure"]) == 2
 
+    def test_ops_are_looked_up_by_name_per_call(self, docs, monkeypatch):
+        # A rebound op in this module is the one that runs, so a tracer that
+        # rebinds these names sees every call.
+        names = ["closure", "interior", "boundary", "is_open", "is_closed"]
+        calls = []
+        for name in names:
+            spy = lambda s, a, name=name, op=getattr(cli, name): calls.append(name) or op(s, a)
+            monkeypatch.setattr(cli, name, spy)
+        assert main(["topology", docs["classes"], "--set", "a"]) == 0
+        assert sorted(calls) == sorted(names)
+        calls.clear()
+        assert main(["topology", docs["classes"], "--set", "a", "--op", "is-open"]) == 1
+        assert calls == ["is_open"]
+
 
 class TestMorphismCommands:
     def test_isometric_none(self, docs, capsys):
@@ -421,6 +435,26 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_closed_stdout_ends_quietly_with_the_command_code(tmp_path):
+    # 151 points of output are far more than a pipe buffer holds, so the
+    # command is still writing when the reader closes the pipe.
+    n = 150
+    doc = tmp_path / "line.json"
+    rows = [[str(abs(i - j)) for j in range(n)] for i in range(n)]
+    doc.write_text(json.dumps({"points": [f"p{i}" for i in range(n)], "d": rows}), encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pseudometric", "glue-zero", str(doc), "--center", "p0", "--label", "t"],
+        cwd=Path(cli.__file__).parents[1],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (0, b"")
 
 
 def test_usage_error_exits_two():

@@ -255,7 +255,7 @@ class TestZeroClasses:
             zero_classes(bad)
 
     def test_nonzero_diagonal_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not reflexive"):
             zero_classes(mk("ab", [[1, 2], [2, 0]]))
 
     def test_computed_once_and_invisible_to_equality(self):

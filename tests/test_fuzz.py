@@ -102,6 +102,34 @@ def test_failing_check_stops_the_run_with_a_counterexample(monkeypatch, capsys):
     assert payload["counterexample"]["documents"] == failure.documents
 
 
+PINNED_COUNTEREXAMPLE = r"""{
+  "count": 5,
+  "counterexample": {
+    "check": "closure_equals_saturate",
+    "detail": "A=[0]",
+    "documents": {
+      "space": "{\n  \"points\": [\"p0\"],\n  \"d\": [\n    [\"0\"]\n  ]\n}\n"
+    },
+    "suite": "topology"
+  },
+  "max_n": 4,
+  "ok": false,
+  "seed": 3,
+  "suites": {
+    "topology": 6
+  }
+}
+"""
+
+
+def test_structured_counterexample_is_pinned(monkeypatch, capsys):
+    # The same refuted closure as above: the whole structured output, byte for byte.
+    monkeypatch.setattr(pseudometric.fuzz, "closure", lambda space, A: frozenset())
+    argv = ["fuzz", "--seed", "3", "--count", "5", "--max-n", "4", "--format", "structured"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == (PINNED_COUNTEREXAMPLE, "")
+
+
 def test_morphism_generator_covers_metric_combinations():
     metric_domains = non_metric_domains = metric_codomains = non_metric_codomains = 0
     count = 0
