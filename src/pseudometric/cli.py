@@ -302,12 +302,16 @@ def main(argv: list[str] | None = None) -> int:
     if payload is not None and args.format == "structured":
         lines = [json.dumps(payload, indent=2, sort_keys=True)]
     try:
-        for line in lines:
-            print(line)
+        # One write: a text stream encodes the whole string before it
+        # writes any of it, so output it cannot encode leaves stdout empty.
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader is gone: send the rest, and the final flush, to the null device.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except UnicodeEncodeError as e:
+        print(f"error: stdout cannot encode the output ({e.encoding}: {e.reason})", file=sys.stderr)
+        return 2
     return code
 
 

@@ -50,6 +50,8 @@ class GenParams:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("n must be non-negative")
+        if isinstance(self.zero_merge_prob, float):
+            raise TypeError("float zero_merge_prob is not allowed; pass int, str or Fraction")
         p = Fraction(self.zero_merge_prob)
         if not 0 <= p <= 1:
             raise ValueError("zero_merge_prob must lie in [0, 1]")

@@ -117,10 +117,6 @@ class Report:
     def ok(self) -> bool:
         return not self.violations
 
-    @classmethod
-    def from_violations(cls, violations: Iterable[Violation]) -> "Report":
-        return cls(tuple(violations))
-
 
 @dataclass(frozen=True)
 class Space:
@@ -158,16 +154,17 @@ class Space:
     @cached_property
     def _zero_partition(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
         # (blocks, class_of_point): the zero blocks ordered by least member,
-        # and for each point the block that holds it. Not a field, so
+        # and for each point the first block that holds it. Not a field, so
         # equality, hashing and repr ignore it. A failed check caches
         # nothing: every later read raises again.
         blocks = tuple(zero_blocks_unchecked(self))
-        owner = {i: b for b in blocks for i in b}
+        owner = {i: b for b in reversed(blocks) for i in b}
         class_of_point = tuple(owner[i] for i in range(self.n))
         for i, row in enumerate(self.matrix):
             for j, dij in enumerate(row):
                 if (dij == 0) != (class_of_point[i] is class_of_point[j]):
-                    rule = "reflexive" if i == j else "symmetric" if dij == 0 else "transitive"
+                    symmetric = (dij == 0) == (self.matrix[j][i] == 0)
+                    rule = "reflexive" if i == j else "transitive" if symmetric else "symmetric"
                     raise ValueError(
                         f"zero-distance relation is not {rule}: "
                         f"d({self.labels[i]},{self.labels[j]}) = "
@@ -325,7 +322,7 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
                 violations.append(
                     Violation("triangle", (i, k, j), (rows[i][j], rows[i][k], rows[k][j]))
                 )
-    return Report.from_violations(violations)
+    return Report(tuple(violations))
 
 
 def is_metric(space: Space) -> bool:
@@ -337,27 +334,21 @@ def is_metric(space: Space) -> bool:
 
 
 def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
-    """Connected components of the distance-0 relation, ordered by least member.
+    """The zero rows of the points that start a block, ordered by least member.
 
-    Reads ``d(i, j)`` for ``i < j`` only and does not require the relation
-    to be transitive; :func:`zero_classes` returns these blocks once every
-    entry of the matrix has been checked against them.
+    Each point that no earlier block holds starts a block: itself and every
+    ``j`` with ``d(i, j) = 0``. Nothing is checked; on a zero pattern that
+    is not an equivalence the blocks may overlap. :func:`zero_classes`
+    returns these blocks once every entry of the matrix has been checked
+    against them.
     """
-    m = space.matrix
     blocks: list[frozenset[int]] = []
     seen: set[int] = set()
-    for root in range(space.n):
-        if root in seen:
-            continue
-        block, stack = {root}, [root]
-        while stack:
-            i = stack.pop()
-            for j in range(space.n):
-                if j not in block and (m[i][j] if i < j else m[j][i]) == 0:
-                    block.add(j)
-                    stack.append(j)
-        seen |= block
-        blocks.append(frozenset(block))
+    for i, row in enumerate(space.matrix):
+        if i not in seen:
+            block = frozenset(j for j, v in enumerate(row) if v == 0) | {i}
+            seen |= block
+            blocks.append(block)
     return blocks
 
 

@@ -74,7 +74,7 @@ def is_pseudoisometry(m: PointMap) -> Report:
     for block in zero_classes(m.codomain):
         if not block & image:
             violations.append(Violation("unreached_class", (min(block),)))
-    return Report.from_violations(violations)
+    return Report(tuple(violations))
 
 
 def compose(f: PointMap, g: PointMap) -> PointMap:

@@ -69,10 +69,10 @@ def check_well_defined(space: Space) -> Report:
     """
     least = {i: min(b) for b in zero_classes(space) for i in b}
     r = PointMap(space, space, tuple(least[i] for i in range(space.n)))
-    return Report.from_violations(
+    return Report(tuple(
         Violation("class_distance", (r.images[i], r.images[j], i, j), (got, want))
         for i, j, want, got in _distance_mismatches(r)
-    )
+    ))
 
 
 def projection_as_pseudoisometry(space: Space) -> PointMap:

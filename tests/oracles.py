@@ -55,7 +55,7 @@ def validate_by_definition(labels, matrix):
                     violations.append(
                         Violation("triangle", (i, k, j), (dij, rows[i][k], rows[k][j]))
                     )
-    return Report.from_violations(violations)
+    return Report(tuple(violations))
 
 
 def scan_axioms(rows):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -435,6 +436,28 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert "ok" in proc.stdout
+
+
+def test_unencodable_plain_output_exits_2_with_one_error_line(tmp_path):
+    doc = tmp_path / "u.json"
+    doc.write_text('{"points": ["\u2713", "b"], "d": [["0", "1"], ["1", "0"]]}', encoding="utf-8")
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "pseudometric", *argv],
+            cwd=Path(cli.__file__).parents[1],
+            capture_output=True,
+            env=env,
+        )
+
+    for argv in (["reflect", str(doc)], ["isometric", str(doc), str(doc)]):
+        proc = run(*argv)
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+        assert b"Traceback" not in proc.stderr
+        # Structured output escapes non-ASCII, so it is unaffected.
+        assert run(*argv, "--format", "structured").returncode == 0
 
 
 def test_closed_stdout_ends_quietly_with_the_command_code(tmp_path):

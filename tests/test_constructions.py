@@ -220,6 +220,14 @@ class TestRandomSpace:
         with pytest.raises(ValueError):
             random_space(GenParams(seed=0, n=0))
 
+    def test_float_probability_rejected(self):
+        # A float would carry its binary rounding into every draw, as in as_dist.
+        with pytest.raises(TypeError, match="float"):
+            GenParams(seed=1, n=4, zero_merge_prob=0.1)
+        with pytest.raises(TypeError, match="float"):
+            GenParams(seed=1, n=4, zero_merge_prob=0.5)
+        assert GenParams(seed=1, n=4, zero_merge_prob="1/10").zero_merge_prob == Fraction(1, 10)
+
 
 class TestRandomSuperspace:
     def test_zero_additions_is_identity(self):

@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -251,7 +253,7 @@ class TestZeroClasses:
 
     def test_intransitive_zeros_rejected(self):
         bad = mk("abc", [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not transitive"):
             zero_classes(bad)
 
     def test_nonzero_diagonal_rejected(self):
@@ -292,6 +294,49 @@ def test_zero_classes_partition_every_space():
             (k,) = [k for k, b in enumerate(blocks) if i in b]
             assert class_of(s, i) is blocks[k]
             assert images[i] == k
+
+
+def _broken_rules(z):
+    # The equivalence rules the zero relation ``z[i][j]`` breaks.
+    pts = range(len(z))
+    broken = set()
+    if not all(z[i][i] for i in pts):
+        broken.add("reflexive")
+    if any(z[i][j] != z[j][i] for i in pts for j in pts):
+        broken.add("symmetric")
+    if any(z[i][j] and z[j][k] and not z[i][k] for i in pts for j in pts for k in pts):
+        broken.add("transitive")
+    return broken
+
+
+def test_zero_pattern_error_names_a_rule_it_breaks():
+    # Every zero/one matrix on 1-3 points: zero_classes raises exactly when
+    # the zero relation is not an equivalence, the error names a rule the
+    # relation breaks, and a "reflexive" or "symmetric" error names a pair
+    # that witnesses it.
+    count = 0
+    for n in range(1, 4):
+        for bits in itertools.product((0, 1), repeat=n * n):
+            count += 1
+            rows = [bits[i * n:(i + 1) * n] for i in range(n)]
+            z = [[v == 0 for v in row] for row in rows]
+            broken = _broken_rules(z)
+            space = mk("abc"[:n], rows)
+            if not broken:
+                zero_classes(space)
+                continue
+            with pytest.raises(ValueError) as info:
+                zero_classes(space)
+            rule, a, b = re.match(
+                r"zero-distance relation is not (\w+): d\((\w),(\w)\) = ", str(info.value)
+            ).groups()
+            assert rule in broken, (rows, str(info.value))
+            i, j = space.index(a), space.index(b)
+            if rule == "reflexive":
+                assert i == j and not z[i][i]
+            elif rule == "symmetric":
+                assert z[i][j] != z[j][i]
+    assert count == 530
 
 
 class TestClassOf:

@@ -12,6 +12,7 @@ import pseudometric
 from pseudometric import (
     EPSequence,
     PointMap,
+    Report,
     Space,
     Violation,
     boundary,
@@ -57,6 +58,10 @@ def test_every_export_resolves():
 
 def test_space_members_are_pinned():
     assert _public_non_fields(Space) == ["index", "n", "validate"]
+
+
+def test_report_members_are_pinned():
+    assert tuple(_public_non_fields(Report)) == ("ok",)
 
 
 POINT_ARGUMENTS = {
