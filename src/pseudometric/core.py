@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import add
+from itertools import compress, product
+from operator import add, not_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 Dist = Fraction
@@ -153,16 +154,22 @@ class Space:
 
     @cached_property
     def _zero_partition(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
-        # (blocks, class_of_point): the zero blocks ordered by least member,
-        # and for each point the first block that holds it. Not a field, so
-        # equality, hashing and repr ignore it. A failed check caches
-        # nothing: every later read raises again.
-        blocks = tuple(zero_blocks_unchecked(self))
-        owner = {i: b for b in reversed(blocks) for i in b}
-        class_of_point = tuple(owner[i] for i in range(self.n))
-        for i, row in enumerate(self.matrix):
-            for j, dij in enumerate(row):
-                if (dij == 0) != (class_of_point[i] is class_of_point[j]):
+        # (blocks, class_of_point): the distinct zero blocks in order of first
+        # appearance, and each point's own block. Every point lies in its own
+        # block, so the pattern is an equivalence iff the diagonal is zero and
+        # the distinct blocks do not overlap (their sizes sum to n). A pattern
+        # that fails is scanned against the first block holding each point,
+        # where some entry must disagree, to name it and a rule it breaks. Not
+        # a field, so equality, hashing and repr ignore it. A failed check
+        # caches nothing: every later read raises again.
+        first: dict[frozenset[int], frozenset[int]] = {}
+        class_of_point = tuple(first.setdefault(b, b) for b in zero_blocks_unchecked(self))
+        blocks = tuple(first)
+        if sum(map(len, blocks)) != self.n or any(r[i] for i, r in enumerate(self.matrix)):
+            owner = {i: b for b in reversed(blocks) for i in b}
+            for i, j in product(range(self.n), repeat=2):
+                dij = self.matrix[i][j]
+                if (dij == 0) != (owner[i] is owner[j]):
                     symmetric = (dij == 0) == (self.matrix[j][i] == 0)
                     rule = "reflexive" if i == j else "transitive" if symmetric else "symmetric"
                     raise ValueError(
@@ -334,22 +341,15 @@ def is_metric(space: Space) -> bool:
 
 
 def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
-    """The zero rows of the points that start a block, ordered by least member.
+    """The zero block of each point, in point order: itself and every ``j`` with ``d(i, j) = 0``.
 
-    Each point that no earlier block holds starts a block: itself and every
-    ``j`` with ``d(i, j) = 0``. Nothing is checked; on a zero pattern that
-    is not an equivalence the blocks may overlap. :func:`zero_classes`
-    returns these blocks once every entry of the matrix has been checked
-    against them.
+    Each row is read once. Nothing is checked; on a zero pattern that is not
+    an equivalence the blocks may overlap. :func:`zero_classes` keeps the
+    distinct blocks once it has checked that they partition the points and
+    that the diagonal is zero.
     """
-    blocks: list[frozenset[int]] = []
-    seen: set[int] = set()
-    for i, row in enumerate(space.matrix):
-        if i not in seen:
-            block = frozenset(j for j, v in enumerate(row) if v == 0) | {i}
-            seen |= block
-            blocks.append(block)
-    return blocks
+    points = range(space.n)
+    return [frozenset(compress(points, map(not_, r))) | {i} for i, r in enumerate(space.matrix)]
 
 
 def zero_classes(space: Space) -> tuple[frozenset[int], ...]:
@@ -361,9 +361,9 @@ def zero_classes(space: Space) -> tuple[frozenset[int], ...]:
 
     For a valid pseudometric the zero-distance relation is an equivalence
     (reflexive and symmetric by the axioms, transitive by the triangle
-    inequality). The check is exact: ``d(i, j) == 0`` must hold precisely
-    when ``i`` and ``j`` share a block, and a ``ValueError`` is raised on the
-    first pair where it does not.
+    inequality). The check is exact: unless the zero rows partition the
+    points and the diagonal is zero, a ``ValueError`` names an entry where
+    ``d(i, j) == 0`` disagrees with the blocks, and a rule it breaks.
     """
     return space._zero_partition[0]
 

@@ -58,6 +58,17 @@ def validate_by_definition(labels, matrix):
     return Report(tuple(violations))
 
 
+def zero_classes_by_definition(matrix):
+    """The classes of a zero pattern that is an equivalence, by definition.
+
+    Point ``i``'s class is every ``j`` with ``d(i, j) = 0``; the distinct
+    classes come ordered by least member.
+    """
+    n = len(matrix)
+    classes = {frozenset(j for j in range(n) if matrix[i][j] == 0) for i in range(n)}
+    return tuple(sorted(classes, key=min))
+
+
 def scan_axioms(rows):
     """Naive axiom scan over a raw matrix; returns witness lists per rule."""
     n = len(rows)

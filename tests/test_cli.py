@@ -412,6 +412,10 @@ LABEL_ERRORS = {
     "cec pair.json uvw.json --embedding a=w,a=u,b=v": (
         "error: --embedding: point 'a' is mapped twice\n"
     ),
+    # The first image is codomain index 0.
+    "cec pair.json uvw.json --embedding a=u,a=v,b=w": (
+        "error: --embedding: point 'a' is mapped twice\n"
+    ),
 }
 
 
@@ -664,6 +668,9 @@ PINNED = {
     ),
     "pseudoisometric empty.json broken.json": _both(
         2, "", "error: empty.json: pseudoisometry requires nonempty spaces\n"
+    ),
+    "reflect empty.json": _both(
+        2, "", "error: empty.json: metric reflection requires a nonempty space\n"
     ),
     "cec broken.json broken.json": _both(
         2, "", "error: broken.json: not a pseudometric space (triangle at (b,a,c): 3, 1, 1)\n"

@@ -19,6 +19,7 @@ from pseudometric import (
     random_space,
     random_superspace,
     saturate,
+    zero_classes,
 )
 
 
@@ -219,6 +220,11 @@ class TestRandomSpace:
             GenParams(seed=0, n=1, zero_merge_prob=Fraction(3, 2))
         with pytest.raises(ValueError):
             random_space(GenParams(seed=0, n=0))
+
+    def test_probability_one_merges_every_point(self):
+        p = GenParams(seed=0, n=3, zero_merge_prob=1)
+        assert p.zero_merge_prob == 1
+        assert zero_classes(random_space(p)) == (frozenset({0, 1, 2}),)
 
     def test_float_probability_rejected(self):
         # A float would carry its binary rounding into every draw, as in as_dist.

@@ -22,7 +22,13 @@ from pseudometric import (
     zero_classes,
 )
 
-from oracles import all_subsets, scan_axioms, small_spaces, validate_by_definition
+from oracles import (
+    all_subsets,
+    scan_axioms,
+    small_spaces,
+    validate_by_definition,
+    zero_classes_by_definition,
+)
 
 
 def mk(labels, rows):
@@ -309,34 +315,59 @@ def _broken_rules(z):
     return broken
 
 
+def _check_zero_pattern(rows):
+    # zero_classes raises exactly when the zero relation is not an
+    # equivalence, and the error names a rule the relation breaks; a
+    # "reflexive" or "symmetric" error names a pair that witnesses it. On an
+    # equivalence the classes are the definition's, and class_of reads them.
+    z = [[v == 0 for v in row] for row in rows]
+    broken = _broken_rules(z)
+    space = mk("abcdef"[:len(rows)], rows)
+    if not broken:
+        blocks = zero_classes(space)
+        assert blocks == zero_classes_by_definition(space.matrix)
+        for i in range(space.n):
+            assert class_of(space, i) is next(b for b in blocks if i in b)
+        return False
+    with pytest.raises(ValueError) as info:
+        zero_classes(space)
+    rule, a, b = re.match(
+        r"zero-distance relation is not (\w+): d\((\w),(\w)\) = ", str(info.value)
+    ).groups()
+    assert rule in broken, (rows, str(info.value))
+    i, j = space.index(a), space.index(b)
+    if rule == "reflexive":
+        assert i == j and not z[i][i]
+    elif rule == "symmetric":
+        assert z[i][j] != z[j][i]
+    return True
+
+
 def test_zero_pattern_error_names_a_rule_it_breaks():
-    # Every zero/one matrix on 1-3 points: zero_classes raises exactly when
-    # the zero relation is not an equivalence, the error names a rule the
-    # relation breaks, and a "reflexive" or "symmetric" error names a pair
-    # that witnesses it.
+    # Every zero/one matrix on 1-3 points.
     count = 0
     for n in range(1, 4):
         for bits in itertools.product((0, 1), repeat=n * n):
             count += 1
-            rows = [bits[i * n:(i + 1) * n] for i in range(n)]
-            z = [[v == 0 for v in row] for row in rows]
-            broken = _broken_rules(z)
-            space = mk("abc"[:n], rows)
-            if not broken:
-                zero_classes(space)
-                continue
-            with pytest.raises(ValueError) as info:
-                zero_classes(space)
-            rule, a, b = re.match(
-                r"zero-distance relation is not (\w+): d\((\w),(\w)\) = ", str(info.value)
-            ).groups()
-            assert rule in broken, (rows, str(info.value))
-            i, j = space.index(a), space.index(b)
-            if rule == "reflexive":
-                assert i == j and not z[i][i]
-            elif rule == "symmetric":
-                assert z[i][j] != z[j][i]
+            _check_zero_pattern([bits[i * n:(i + 1) * n] for i in range(n)])
     assert count == 530
+
+
+def test_seeded_zero_patterns_on_4_to_6_points():
+    # Planted partitions, some with one to three entries flipped between 0
+    # and 1, so that equivalences and near misses of every rule both occur.
+    rng = random.Random(17)
+    verdicts = []
+    for _ in range(3000):
+        n = rng.randint(4, 6)
+        k = rng.randint(1, n)
+        cls = [rng.randrange(k) for _ in range(n)]
+        rows = [[int(cls[i] != cls[j]) for j in range(n)] for i in range(n)]
+        for _ in range(rng.choice((0, 0, 1, 2, 3))):
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = 1 - rows[i][j]
+        verdicts.append(_check_zero_pattern(rows))
+    assert 1000 < sum(verdicts) < 2500
 
 
 class TestClassOf:

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -231,6 +232,21 @@ class TestFindIsometry:
             assert witness is None
             assert (stats.nodes, stats.signature_prunes, stats.distance_checks) == counters
 
+    def test_refinement_counters_are_pinned(self):
+        # A 7-vertex graph metric and a permuted twin. Sorted rows alone
+        # prune 30 of the 42 wrong targets; refining by the neighbours'
+        # colours prunes all 42, so the search walks straight to the witness.
+        edges = [(0, 1), (0, 2), (0, 5), (1, 4), (1, 5), (2, 6), (3, 4), (3, 5), (3, 6)]
+        d = [[0 if i == j else 9 for j in range(7)] for i in range(7)]
+        for a, b in edges:
+            d[a][b] = d[b][a] = 1
+        for k, i, j in itertools.product(range(7), repeat=3):
+            d[i][j] = min(d[i][j], d[i][k] + d[k][j])
+        graph = mk([f"v{i}" for i in range(7)], d)
+        witness, stats = find_isometry(graph, permuted_twin(graph, [4, 2, 5, 3, 1, 0, 6]))
+        assert witness.images == (5, 4, 1, 3, 0, 2, 6)
+        assert (stats.nodes, stats.signature_prunes, stats.distance_checks) == (7, 42, 21)
+
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # A uniform metric assigns one point per search depth.
         n = 200
@@ -289,6 +305,14 @@ class TestBruteForce:
         zeros = mk("ab", [[0, 0], [0, 0]])
         m = brute_force_pseudoisometry(zeros, SINGLETON)
         assert m is not None and m.images == (0, 0)
+
+    def test_cap_admits_exactly_its_size(self):
+        # 100^3 maps sit exactly at the cap of 10^6; the first map tried is
+        # a witness, so the call returns at once.
+        zeros3 = mk("abc", [[0] * 3] * 3)
+        zeros100 = mk([f"y{i}" for i in range(100)], [[0] * 100] * 100)
+        m = brute_force_pseudoisometry(zeros3, zeros100)
+        assert m is not None and m.images == (0, 0, 0)
 
     def test_cap_enforced(self):
         # 8^8 maps exceed the oracle's cap of 10^6.
