@@ -139,7 +139,7 @@ class Space:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "matrix", tuple(tuple(map(as_dist, row)) for row in rows))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.labels)
 
@@ -178,6 +178,23 @@ class Space:
                         f"{format_dist(dij)}; not a valid pseudometric"
                     )
         return blocks, class_of_point
+
+    @cached_property
+    def _reflection(self) -> tuple[Space, tuple[int, ...], tuple[int, ...]]:
+        # (quotient, projection images, section images) of the metric
+        # reflection: one point per zero class, at its least member. None of
+        # the three refers back to this space, so keeping them makes no
+        # reference cycle; the two maps are built per call. Distinct classes
+        # are at nonzero distance both ways, so the quotient's zero table is
+        # one singleton class per point and is set here, not read from its
+        # rows. Not a field, and a failed zero check caches nothing.
+        blocks, class_of_point = self._zero_partition
+        reps = tuple(min(b) for b in blocks)
+        quotient = _pullback(self, reps, [self.labels[r] for r in reps])
+        singletons = tuple(frozenset((k,)) for k in range(len(reps)))
+        quotient.__dict__["_zero_partition"] = (singletons, singletons)
+        number = {b: k for k, b in enumerate(blocks)}
+        return quotient, tuple(map(number.__getitem__, class_of_point)), reps
 
 
 def members_of(space: Space, A: Iterable[int]) -> frozenset[int]:
@@ -381,5 +398,9 @@ def saturate(space: Space, A: Iterable[int]) -> frozenset[int]:
     are exactly the closed (equivalently, open) sets of the finite
     pseudometric topology.
     """
-    members = members_of(space, A)
+    return _saturated(space, members_of(space, A))
+
+
+def _saturated(space: Space, members: Iterable[int]) -> frozenset[int]:
+    # saturate over members that members_of has already checked.
     return frozenset().union(*map(space._zero_partition[1].__getitem__, members))

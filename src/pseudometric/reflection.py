@@ -16,7 +16,6 @@ from .core import (
     Space,
     Violation,
     _distance_mismatches,
-    _pullback,
     zero_classes,
 )
 
@@ -45,16 +44,17 @@ def metric_reflection(space: Space) -> Reflection:
     pair of representatives; for a valid pseudometric the choice does not
     matter (see :func:`check_well_defined`), and least-index representatives
     make the output canonical.
+
+    The reflection is computed once per space and kept with it, like its
+    zero classes: every later call returns the same quotient object, with
+    new, equal projection and section maps. The quotient arrives with its
+    zero table, one class per point, so :func:`~pseudometric.core.is_metric`
+    reads no row of it.
     """
     if space.n == 0:
         raise ValueError("metric reflection requires a nonempty space")
-    blocks = zero_classes(space)
-    reps = [min(b) for b in blocks]
-    quotient = _pullback(space, reps, [space.labels[r] for r in reps])
-    number = {i: k for k, b in enumerate(blocks) for i in b}
-    projection = PointMap(space, quotient, tuple(number[i] for i in range(space.n)))
-    section = PointMap(quotient, space, tuple(reps))
-    return Reflection(quotient, projection, section)
+    quotient, images, reps = space._reflection
+    return Reflection(quotient, PointMap(space, quotient, images), PointMap(quotient, space, reps))
 
 
 def check_well_defined(space: Space) -> Report:

@@ -24,6 +24,7 @@ from typing import Iterable
 from .core import (
     DistLike,
     Space,
+    _saturated,
     as_dist,
     class_of,
     members_of,
@@ -61,7 +62,7 @@ def open_ball(space: Space, center: int, radius: DistLike) -> frozenset[int]:
 def is_open(space: Space, A: Iterable[int]) -> bool:
     """True iff ``A`` is a union of open balls, i.e. a union of zero classes."""
     members = members_of(space, A)
-    return saturate(space, members) == members
+    return _saturated(space, members) == members
 
 
 def is_closed(space: Space, A: Iterable[int]) -> bool:
@@ -86,7 +87,11 @@ def interior(space: Space, A: Iterable[int]) -> frozenset[int]:
 
 def boundary(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Closure of ``A`` minus its interior: the zero classes ``A`` splits."""
-    members = members_of(space, A)
+    return _boundary(space, members_of(space, A))
+
+
+def _boundary(space: Space, members: frozenset[int]) -> frozenset[int]:
+    # boundary over members that members_of has already checked.
     blocks = zero_classes(space)
     return frozenset().union(*(b for b in blocks if b & members and not b <= members))
 
@@ -122,8 +127,13 @@ def complete_via_boundary(space: Space, A: Iterable[int]) -> bool:
     every valid input; the predicate exists so the criterion itself is
     executable and falsifiable.
     """
-    members = members_of(space, A)
-    return all(class_of(space, x) & members for x in boundary(space, members))
+    return _complete_via_boundary(space, members_of(space, A))
+
+
+def _complete_via_boundary(space: Space, members: frozenset[int]) -> bool:
+    # complete_via_boundary over members that members_of has already checked;
+    # the class of a point x is the saturation of {x}.
+    return all(_saturated(space, (x,)) & members for x in _boundary(space, members))
 
 
 def closed_via_completeness(space: Space, A: Iterable[int]) -> bool:
@@ -135,4 +145,4 @@ def closed_via_completeness(space: Space, A: Iterable[int]) -> bool:
     members = members_of(space, A)
     if not members:
         raise ValueError("closed_via_completeness requires a nonempty subset")
-    return complete_via_boundary(space, members) and saturate(space, members) == members
+    return _complete_via_boundary(space, members) and _saturated(space, members) == members

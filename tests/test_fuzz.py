@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -154,6 +155,18 @@ def test_all_suites_pass_a_medium_run():
     assert report.ok, report.summary()
     assert set(report.suites) == set(SUITES)
     assert all(v > 0 for v in report.suites.values())
+
+
+def test_run_leaves_no_cyclic_garbage():
+    # Spaces keep their reflections; a kept map back to the space would
+    # make every space of the run a cycle that only the collector frees.
+    gc.collect()
+    gc.disable()
+    try:
+        assert run_fuzz(3, 40, 6).ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_cap_maps_to_exit_code_three(tmp_path):

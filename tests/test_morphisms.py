@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pseudometric import core
 from pseudometric import (
     GenParams,
     IsoSearchStats,
@@ -276,6 +277,19 @@ class TestArePseudoisometric:
 
     def test_mismatched_quotients(self):
         assert are_pseudoisometric(PAIR1, PAIR2) is None
+
+    def test_zero_rows_read_once_per_argument(self, monkeypatch):
+        # The quotients arrive with their zero tables, so only x and y are read.
+        original, calls = core.zero_blocks_unchecked, []
+
+        def spy(space):
+            calls.append(space)
+            return original(space)
+
+        monkeypatch.setattr(core, "zero_blocks_unchecked", spy)
+        x, y = mk("abcd", TWO_CLASS.matrix), mk("pqrs", TWO_CLASS.matrix)
+        assert are_pseudoisometric(x, y) is not None
+        assert calls == [x, y]
 
     def test_empty_space_rejected(self):
         with pytest.raises(ValueError):

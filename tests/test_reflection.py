@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -77,6 +79,51 @@ class TestMetricReflection:
             again = metric_reflection(quotient)
             assert again.quotient == quotient
             assert again.projection.images == tuple(range(quotient.n))
+
+
+class TestReflectionIsKept:
+    """One reflection per space, kept without a reference back to the space."""
+
+    def test_second_call_returns_the_same_quotient(self):
+        space = mk("abcd", TWO_CLASS.matrix)
+        first, second = metric_reflection(space), metric_reflection(space)
+        assert second == first
+        assert second.quotient is first.quotient
+
+    def test_space_keeps_equality_hash_and_repr(self):
+        space = mk("abcd", TWO_CLASS.matrix)
+        metric_reflection(space)
+        fresh = mk("abcd", TWO_CLASS.matrix)
+        assert space == fresh
+        assert hash(space) == hash(fresh)
+        assert repr(space) == repr(fresh)
+
+    def test_space_is_freed_without_the_cycle_collector(self):
+        space = mk("abcd", TWO_CLASS.matrix)
+        gc.disable()
+        try:
+            metric_reflection(space)
+            alive = weakref.ref(space)
+            del space
+            assert alive() is None
+        finally:
+            gc.enable()
+
+    def test_broken_zero_pattern_raises_on_every_call(self):
+        space = mk("abc", [[0, 0, 1], [0, 0, 0], [1, 0, 0]])
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not transitive"):
+                metric_reflection(space)
+
+    def test_quotient_table_is_the_computed_one(self):
+        rng = random.Random(29)
+        for _ in range(200):
+            space = random_space(
+                GenParams(seed=rng.getrandbits(32), n=rng.randint(1, 7),
+                          zero_merge_prob=Fraction(rng.randint(0, 3), 3))
+            )
+            q = metric_reflection(space).quotient
+            assert q._zero_partition == Space(q.labels, q.matrix)._zero_partition
 
 
 class TestWellDefined:
