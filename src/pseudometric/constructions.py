@@ -24,7 +24,6 @@ from .core import (
     PointMap,
     Space,
     _pullback,
-    _scaled,
     is_metric,
     members_of,
 )
@@ -48,6 +47,8 @@ class GenParams:
     zero_merge_prob: Fraction = Fraction(1, 4)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an int, got {self.n!r}")
         if self.n < 0:
             raise ValueError("n must be non-negative")
         if isinstance(self.zero_merge_prob, float):
@@ -162,29 +163,16 @@ def check_cec_minimality(e: PointMap) -> bool:
     return in_cec(e) or not is_closed(e.codomain, frozenset(e.images))
 
 
-def _draw_entry(rng: random.Random) -> Dist:
-    # A positive rational in (0, 6] with a small denominator.
+def _draw_entry(rng: random.Random) -> int:
+    # A positive rational in (0, 6] with a denominator from 1 to 4, as a
+    # whole number of twelfths (every such denominator divides 12).
     den = rng.randint(1, 4)
-    return Fraction(rng.randint(1, 6 * den), den)
+    return rng.randint(1, 6 * den) * (12 // den)
 
 
 def _bernoulli(rng: random.Random, p: Fraction) -> bool:
     # Exact integer draw; no float comparison involved.
     return rng.randrange(p.denominator) < p.numerator
-
-
-def _shortest_path_repair(rows: list[list[Dist]]) -> list[list[Dist]]:
-    # Project a symmetric non-negative matrix onto the pseudometric cone by
-    # all-pairs shortest paths, on ints over one scale; entries only decrease.
-    scale, (ints,) = _scaled(rows)
-    for k, rk in enumerate(ints):
-        for ri in ints:
-            dik = ri[k]
-            for j, dkj in enumerate(rk):
-                via = dik + dkj
-                if via < ri[j]:
-                    ri[j] = via
-    return [[Fraction(v, scale) for v in row] for row in ints]
 
 
 def _clone_points(n: int, total: int, rng: random.Random) -> list[int]:
@@ -200,25 +188,33 @@ def _clone_points(n: int, total: int, rng: random.Random) -> list[int]:
 def random_space(p: GenParams) -> Space:
     """Generate a reproducible valid pseudometric space.
 
-    Draws a symmetric positive matrix over a base set of
-    ``ceil(n * (1 - zero_merge_prob))`` points, repairs it into a metric by
-    all-pairs shortest paths, then pads up to ``n`` points by cloning random
-    existing points at distance 0. The result always validates; with
-    ``zero_merge_prob`` 0 it is a metric space. The generator is the
-    standard seedable Mersenne Twister, so outputs are identical across
-    platforms for a given seed.
+    Draws a symmetric positive matrix of whole twelfths over a base set of
+    ``ceil(n * (1 - zero_merge_prob))`` points, repairs it in place into a
+    metric by all-pairs shortest paths (entries only decrease), then pads
+    up to ``n`` points with zero-distance clones of random earlier points,
+    read from the repaired matrix as the one ``Space`` is built. The result
+    always validates; with ``zero_merge_prob`` 0 it is a metric space. The
+    Mersenne Twister makes outputs identical across platforms for a seed.
     """
     if p.n < 1:
         raise ValueError("random_space requires n >= 1")
     rng = random.Random(p.seed)
     base = max(1, math.ceil(p.n * (1 - p.zero_merge_prob)))
-    rows = [[Fraction(0)] * base for _ in range(base)]
+    ints = [[0] * base for _ in range(base)]
     for i in range(base):
         for j in range(i + 1, base):
-            rows[i][j] = rows[j][i] = _draw_entry(rng)
+            ints[i][j] = ints[j][i] = _draw_entry(rng)
+    for k, rk in enumerate(ints):
+        for ri in ints:
+            dik = ri[k]
+            for j, dkj in enumerate(rk):
+                via = dik + dkj
+                if via < ri[j]:
+                    ri[j] = via
+    rows = [[Fraction(v, 12) for v in row] for row in ints]
+    points = _clone_points(base, p.n, rng)
     labels = tuple(f"p{i}" for i in range(p.n))
-    metric = Space(labels[:base], _shortest_path_repair(rows))
-    return _pullback(metric, _clone_points(base, p.n, rng), labels)
+    return Space(labels, [[rows[a][b] for b in points] for a in points])
 
 
 def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> PointMap:
@@ -249,5 +245,5 @@ def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> PointM
         if not force_cec and _bernoulli(rng, p.zero_merge_prob):
             radii.append(Fraction(0))
         else:
-            radii.append(_draw_entry(rng))
+            radii.append(Fraction(_draw_entry(rng), 12))
     return _inclusion(y, _pullback(y, [*range(y.n), *anchors], labels, radii))

@@ -9,9 +9,9 @@ the topology, and the morphism checks in the rest of the package.
 All arithmetic is exact and no comparison ever rounds. Distances are
 `fractions.Fraction`s at the boundaries (construction, parsing, emitted
 documents, violation values, public getters), each built once. The hot
-comparisons (the axiom scan, isometry search, shortest-path repair) run on
-Python ``int``s: the matrices are scaled by one common multiple ``L`` of all
-their denominators, and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``.
+comparisons (the axiom scan, isometry search) run on Python ``int``s: the
+matrices are scaled by one common multiple ``L`` of all their denominators,
+and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``.
 """
 
 from __future__ import annotations
@@ -268,15 +268,13 @@ def _pullback(
     return Space(labels, rows)
 
 
-def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[list[int]]]]:
-    # The matrices over one common denominator: (L, int matrices) with
-    # ints[i][j] = L * matrix[i][j], where L is the least common multiple of
-    # every denominator in all of them. Scaling by one L preserves order,
-    # equality and sums, within a matrix and across matrices.
+def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> list[list[list[int]]]:
+    # The matrices over one common denominator: ints[i][j] = L * matrix[i][j],
+    # where L is the least common multiple of every denominator in all of
+    # them. Scaling by one L preserves order, equality and sums, within a
+    # matrix and across matrices, so no caller needs L itself.
     scale = math.lcm(*{v.denominator for m in matrices for row in m for v in row})
-    return scale, [
-        [[v.numerator * (scale // v.denominator) for v in row] for row in m] for m in matrices
-    ]
+    return [[[v.numerator * (scale // v.denominator) for v in row] for row in m] for m in matrices]
 
 
 def _raw_rational(value: object, where: str) -> Fraction:
@@ -310,7 +308,7 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
         for i, r in enumerate(raw)
     ]
 
-    _, (ints,) = _scaled(rows)
+    (ints,) = _scaled(rows)
     violations: list[Violation] = []
     for i, ri in enumerate(ints):
         for j, dij in enumerate(ri):

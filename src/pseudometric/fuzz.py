@@ -497,10 +497,11 @@ def run_fuzz(
     for name in suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-    if count < 0:
-        raise ValueError(f"count must be at least 0, got {count}")
-    if max_n < 1:
-        raise ValueError(f"max_n must be at least 1, got {max_n}")
+    for name, size, least in (("count", count, 0), ("max_n", max_n, 1)):
+        if not isinstance(size, int) or isinstance(size, bool):  # the members_of rule
+            raise ValueError(f"{name} must be an int, got {size!r}")
+        if size < least:
+            raise ValueError(f"{name} must be at least {least}, got {size}")
     report = FuzzReport(seed=seed, count=count, max_n=max_n)
     for name in SUITES:
         if name not in suites:

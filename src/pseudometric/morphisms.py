@@ -152,7 +152,7 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
 
     # One scale for both spaces: scaling each by its own LCM would equate
     # {1, 2} with {1/2, 1}.
-    _, (d1, d2) = _scaled(m1.matrix, m2.matrix)
+    d1, d2 = _scaled(m1.matrix, m2.matrix)
     c1, c2 = _joint_signatures(d1, d2)
     candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
     prunes = sum(n - len(c) for c in candidates)

@@ -218,8 +218,12 @@ class TestRandomSpace:
             GenParams(seed=0, n=-1)
         with pytest.raises(ValueError):
             GenParams(seed=0, n=1, zero_merge_prob=Fraction(3, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="random_space requires n >= 1"):
             random_space(GenParams(seed=0, n=0))
+        # A size is an int and not a bool, checked before any draw.
+        for n in (2.5, "3", True, None):
+            with pytest.raises(ValueError, match="n must be an int"):
+                GenParams(seed=0, n=n)
 
     def test_probability_one_merges_every_point(self):
         p = GenParams(seed=0, n=3, zero_merge_prob=1)

@@ -178,7 +178,15 @@ def test_oracle_cap_maps_to_exit_code_three(tmp_path):
 
 @pytest.mark.parametrize(
     "count, max_n, message",
-    [(-5, 6, "count must be at least 0, got -5"), (1, 0, "max_n must be at least 1, got 0")],
+    [
+        (-5, 6, "count must be at least 0, got -5"),
+        (1, 0, "max_n must be at least 1, got 0"),
+        (1.5, 6, "count must be an int, got 1.5"),
+        (True, 6, "count must be an int, got True"),
+        (1, 2.5, "max_n must be an int, got 2.5"),
+        (1, "3", "max_n must be an int, got '3'"),
+        (1, False, "max_n must be an int, got False"),
+    ],
 )
 def test_meaningless_size_rejected(count, max_n, message):
     with pytest.raises(ValueError, match=message):
