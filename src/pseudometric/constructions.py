@@ -47,8 +47,10 @@ class GenParams:
     zero_merge_prob: Fraction = Fraction(1, 4)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an int, got {self.n!r}")
+        for name in ("seed", "n"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 0:
             raise ValueError("n must be non-negative")
         if isinstance(self.zero_merge_prob, float):
@@ -196,6 +198,11 @@ def random_space(p: GenParams) -> Space:
     always validates; with ``zero_merge_prob`` 0 it is a metric space. The
     Mersenne Twister makes outputs identical across platforms for a seed.
     """
+    return _random_space(p, tuple(f"p{i}" for i in range(p.n)))
+
+
+def _random_space(p: GenParams, labels: tuple[str, ...]) -> Space:
+    # random_space(p) under the given labels, built as one Space.
     if p.n < 1:
         raise ValueError("random_space requires n >= 1")
     rng = random.Random(p.seed)
@@ -213,7 +220,6 @@ def random_space(p: GenParams) -> Space:
                     ri[j] = via
     rows = [[Fraction(v, 12) for v in row] for row in ints]
     points = _clone_points(base, p.n, rng)
-    labels = tuple(f"p{i}" for i in range(p.n))
     return Space(labels, [[rows[a][b] for b in points] for a in points])
 
 
@@ -233,10 +239,10 @@ def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> PointM
     labels = _extend_labels(y.labels, [f"q{u}" for u in range(p.n)])
     if y.n == 0 and p.n:
         # Superspace of the empty space: a standalone generated block.
-        block = random_space(
-            GenParams(seed=rng.getrandbits(63), n=p.n, zero_merge_prob=p.zero_merge_prob)
+        block = _random_space(
+            GenParams(seed=rng.getrandbits(63), n=p.n, zero_merge_prob=p.zero_merge_prob), labels
         )
-        return _inclusion(y, _pullback(block, range(p.n), labels))
+        return _inclusion(y, block)
 
     anchors = []
     radii: list[Dist] = []

@@ -497,11 +497,11 @@ def run_fuzz(
     for name in suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-    for name, size, least in (("count", count, 0), ("max_n", max_n, 1)):
-        if not isinstance(size, int) or isinstance(size, bool):  # the members_of rule
-            raise ValueError(f"{name} must be an int, got {size!r}")
-        if size < least:
-            raise ValueError(f"{name} must be at least {least}, got {size}")
+    for name, value, least in (("seed", seed, None), ("count", count, 0), ("max_n", max_n, 1)):
+        if not isinstance(value, int) or isinstance(value, bool):  # the members_of rule
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if least is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     report = FuzzReport(seed=seed, count=count, max_n=max_n)
     for name in SUITES:
         if name not in suites:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add
 
 from .core import (
     PointMap,
@@ -109,22 +110,25 @@ def _joint_signatures(d1: list[list[int]], d2: list[list[int]]) -> tuple[list[in
     # Iterated signature refinement over both matrices at once (ints over
     # one common scale), so equal colors are comparable across them.
     # Initial color: sorted multiset of distances to all points; refinement
-    # folds in the colors at each distance. Stops when the number of joint
-    # color classes stabilizes.
+    # folds in the colors at each distance. With C joint colors, the pair
+    # (d(i, j), color of j) is coded as the int d(i, j) * C + color, which is
+    # one-to-one and sorts as the pairs do, so a profile sorts one tuple of
+    # ints. The point's own pair (0, its color) is shared by its whole color
+    # class, so it splits nothing. Stops when the number of joint color
+    # classes stabilizes.
     def canon(profiles1, profiles2):
         # Joint colors, numbered in profile order, and how many there are.
         table = {p: c for c, p in enumerate(sorted(set(profiles1) | set(profiles2)))}
         return [table[p] for p in profiles1], [table[p] for p in profiles2], len(table)
 
-    def refine(d, c):
-        n = len(d)
+    def refine(d, c, classes):
         return [
-            (c[i], tuple(sorted((d[i][j], c[j]) for j in range(n) if j != i))) for i in range(n)
+            (ci, tuple(sorted(map(add, map(classes.__mul__, row), c)))) for ci, row in zip(c, d)
         ]
 
     c1, c2, classes = canon(*([tuple(sorted(row)) for row in d] for d in (d1, d2)))
     while True:
-        c1, c2, new_classes = canon(refine(d1, c1), refine(d2, c2))
+        c1, c2, new_classes = canon(refine(d1, c1, classes), refine(d2, c2, classes))
         if new_classes == classes:
             return c1, c2
         classes = new_classes
@@ -138,62 +142,101 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
     (signatures are invariant under isometry, so no witness is ever lost),
     points are assigned most-constrained first, and ties break toward the
     least index, which makes the returned witness deterministic. The search
-    keeps its own stack of candidate iterators, one per assigned point, so
-    its depth is not bounded by the interpreter's recursion limit. Returns
-    the witness (or ``None``) together with search statistics.
+    keeps its own stack of depths, so its depth is not bounded by the
+    interpreter's recursion limit. Returns the witness (or ``None``)
+    together with search statistics.
+
+    Candidate sets are bitmasks of target indices. On entering a depth, one
+    chain of masks finds at once which candidates agree with every placed
+    point, and where each other candidate first disagrees. The statistics
+    are those of plain backtracking, which tries the candidates one at a
+    time in index order and compares one placed point at a time: they are
+    read off the chain, and on success the candidates that backtracking
+    would never reach, those past each depth's witness target, are taken
+    off again.
     """
     if not is_metric(m1) or not is_metric(m2):
         raise ValueError("isometry search requires metric spaces")
     n = m1.n
     if n != m2.n:
         return None, IsoSearchStats()
-    if n == 0:
-        return PointMap(m1, m2, ()), IsoSearchStats()
 
     # One scale for both spaces: scaling each by its own LCM would equate
     # {1, 2} with {1/2, 1}.
     d1, d2 = _scaled(m1.matrix, m2.matrix)
     c1, c2 = _joint_signatures(d1, d2)
-    candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
-    prunes = sum(n - len(c) for c in candidates)
+    by_color: dict[int, int] = {}
+    for j, c in enumerate(c2):
+        by_color[c] = by_color.get(c, 0) | 1 << j
+    masks = [by_color.get(c, 0) for c in c1]  # masks[i]: the candidate targets of i
+    sizes = [mask.bit_count() for mask in masks]
+    prunes = n * n - sum(sizes)
     if sorted(c1) != sorted(c2):
         return None, IsoSearchStats(signature_prunes=prunes)
 
-    order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
-    assigned = [order[:k] for k in range(n)]  # the points placed before depth k
-    images = [-1] * n
-    used = [False] * n
-    nodes = checks = 0
-    # stack[k] iterates the candidates of order[k]; the search succeeds when
-    # all n points are assigned and fails when the stack empties.
-    stack = [iter(candidates[order[0]])]
-    while stack:
-        k = len(stack) - 1
-        i = order[k]
-        if images[i] >= 0:
-            # Back from a dead end deeper down: free this point's image.
-            used[images[i]] = False
-            images[i] = -1
-        for j in stack[k]:
-            if used[j]:
-                continue
-            nodes += 1
-            for prev in assigned[k]:
-                checks += 1
-                if d1[i][prev] != d2[j][images[prev]]:
-                    break
-            else:  # j agrees with every assigned point: take it
-                images[i] = j
-                used[j] = True
-                break
-        else:  # no candidate left at this depth: backtrack
-            stack.pop()
-            continue
-        if k + 1 == n:
-            break
-        stack.append(iter(candidates[order[k + 1]]))
+    order = sorted(range(n), key=sizes.__getitem__)
+    # cols[v][x]: the mask of the targets j with d2[j][v] == x.
+    cols: list[dict[int, int]] = []
+    for column in zip(*d2):
+        col: dict[int, int] = {}
+        for j, x in enumerate(column):
+            col[x] = col.get(x, 0) | 1 << j
+        cols.append(col)
+    placed: list[dict[int, int]] = []  # the column of each placed point's image, in depth order
 
-    result = PointMap(m1, m2, tuple(images)) if stack else None
+    def walk(x: int, k: int) -> tuple[int, int, int]:
+        # Plain backtracking over the candidates x of depth k, with the
+        # points of depths 0 to k - 1 placed: its nodes, its checks and the
+        # candidates that agree with every placed point. With chain[0] = x,
+        # chain[t + 1] is the part of chain[t] at the right distance from
+        # the image of depth t. A candidate in chain[t] but not in
+        # chain[t + 1] fails at check t + 1, and one in chain[k] passes all
+        # k checks, so the checks are the sum over t < k of |chain[t]|.
+        nodes, checks = x.bit_count(), 0
+        for col, dist in zip(placed, map(d1[order[k]].__getitem__, order)):
+            if not x:
+                break
+            checks += x.bit_count()
+            x &= col.get(dist, 0)
+        return nodes, checks, x
+
+    images = [-1] * n
+    takes = [0] * n  # takes[k]: the agreeing candidates of depth k not tried yet
+    used = nodes = checks = k = 0
+    while k < n:
+        more_nodes, more_checks, x = walk(masks[order[k]] & ~used, k)
+        nodes += more_nodes
+        checks += more_checks
+        while not x and k:  # no candidate left at this depth: backtrack
+            k -= 1
+            placed.pop()
+            used ^= 1 << images[order[k]]
+            x = takes[k]
+        if not x:
+            return None, IsoSearchStats(
+                nodes=nodes, signature_prunes=prunes, distance_checks=checks
+            )
+        low = x & -x  # the least agreeing candidate: take it
+        takes[k] = x ^ low
+        images[order[k]] = j = low.bit_length() - 1
+        used |= low
+        placed.append(cols[j])
+        k += 1
+
+    # Each depth charged all its candidates, but backtracking stops at the
+    # witness: walk back up the path and take off, at each depth, the
+    # candidates past its image (-2 << j: every index above j).
+    while k:
+        k -= 1
+        placed.pop()
+        j = images[order[k]]
+        used ^= 1 << j
+        x = masks[order[k]] & ~used & (-2 << j)
+        if x:
+            fewer_nodes, fewer_checks, _ = walk(x, k)
+            nodes -= fewer_nodes
+            checks -= fewer_checks
+    result = PointMap(m1, m2, tuple(images))
     return result, IsoSearchStats(nodes=nodes, signature_prunes=prunes, distance_checks=checks)
 
 

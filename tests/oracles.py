@@ -10,6 +10,7 @@ the library's public API, and the tests that read it check every map.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -174,6 +175,83 @@ def factorial_isometry(s1: Space, s2: Space) -> tuple[int, ...] | None:
         if ok:
             return perm
     return None
+
+
+def backtracking_isometry(s1: Space, s2: Space):
+    """Isometry search by plain backtracking: ``(images or None, nodes, prunes, checks)``.
+
+    The search whose steps ``find_isometry`` counts: one candidate and one
+    distance comparison at a time. Candidates are refined by sorted
+    ``(distance, color)`` pairs over the other points, jointly in both
+    spaces; points are placed most-constrained first, ties toward the least
+    index, and each candidate is compared with the placed points in
+    placement order, as ``d1[i][prev]`` against ``d2[j][image of prev]``.
+    Both spaces must be metric.
+    """
+    n = s1.n
+    if n != s2.n:
+        return None, 0, 0, 0
+    if n == 0:
+        return (), 0, 0, 0
+    scale = math.lcm(*(v.denominator for s in (s1, s2) for row in s.matrix for v in row))
+    d1, d2 = (
+        [[v.numerator * (scale // v.denominator) for v in row] for row in s.matrix]
+        for s in (s1, s2)
+    )
+
+    def canon(profiles1, profiles2):
+        table = {p: c for c, p in enumerate(sorted(set(profiles1) | set(profiles2)))}
+        return [table[p] for p in profiles1], [table[p] for p in profiles2], len(table)
+
+    def refine(d, c):
+        n = len(d)
+        return [
+            (c[i], tuple(sorted((d[i][j], c[j]) for j in range(n) if j != i))) for i in range(n)
+        ]
+
+    c1, c2, classes = canon(*([tuple(sorted(row)) for row in d] for d in (d1, d2)))
+    while True:
+        c1, c2, new_classes = canon(refine(d1, c1), refine(d2, c2))
+        if new_classes == classes:
+            break
+        classes = new_classes
+
+    candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
+    prunes = sum(n - len(c) for c in candidates)
+    if sorted(c1) != sorted(c2):
+        return None, 0, prunes, 0
+
+    order = sorted(range(n), key=lambda i: (len(candidates[i]), i))
+    assigned = [order[:k] for k in range(n)]
+    images = [-1] * n
+    used = [False] * n
+    nodes = checks = 0
+    stack = [iter(candidates[order[0]])]
+    while stack:
+        k = len(stack) - 1
+        i = order[k]
+        if images[i] >= 0:
+            used[images[i]] = False
+            images[i] = -1
+        for j in stack[k]:
+            if used[j]:
+                continue
+            nodes += 1
+            for prev in assigned[k]:
+                checks += 1
+                if d1[i][prev] != d2[j][images[prev]]:
+                    break
+            else:
+                images[i] = j
+                used[j] = True
+                break
+        else:
+            stack.pop()
+            continue
+        if k + 1 == n:
+            break
+        stack.append(iter(candidates[order[k + 1]]))
+    return (tuple(images) if stack else None), nodes, prunes, checks
 
 
 def pseudoisometry_by_definition(m: PointMap) -> bool:

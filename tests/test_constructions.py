@@ -224,6 +224,8 @@ class TestRandomSpace:
         for n in (2.5, "3", True, None):
             with pytest.raises(ValueError, match="n must be an int"):
                 GenParams(seed=0, n=n)
+        with pytest.raises(ValueError, match="seed must be an int, got 'x'"):
+            GenParams(seed="x", n=2)
 
     def test_probability_one_merges_every_point(self):
         p = GenParams(seed=0, n=3, zero_merge_prob=1)
@@ -277,6 +279,23 @@ class TestRandomSuperspace:
         image = frozenset(e.images)
         assert is_closed(e.codomain, image)
         assert saturate(e.codomain, image) == image
+
+    def test_empty_base_builds_one_space(self, monkeypatch):
+        # The generated block gets its final labels as it is built, as
+        # random_space builds its one Space.
+        original, built = Space.__post_init__, []
+
+        def spy(self):
+            built.append(self)
+            original(self)
+
+        empty, p = Space((), ()), GenParams(seed=4, n=5)
+        monkeypatch.setattr(Space, "__post_init__", spy)
+        x = random_space(p)
+        assert built == [x]
+        e = random_superspace(empty, p)
+        assert built == [x, e.codomain]
+        assert e.codomain.labels == ("q0", "q1", "q2", "q3", "q4")
 
     def test_deterministic(self):
         y = random_space(GenParams(seed=2, n=4))

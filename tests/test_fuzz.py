@@ -194,6 +194,19 @@ def test_meaningless_size_rejected(count, max_n, message):
 
 
 @pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("7", "seed must be an int, got '7'"),
+        (2.5, "seed must be an int, got 2.5"),
+        (True, "seed must be an int, got True"),
+    ],
+)
+def test_meaningless_seed_rejected(seed, message):
+    with pytest.raises(ValueError, match=message):
+        run_fuzz(seed, 1, 2)
+
+
+@pytest.mark.parametrize(
     "suites, message",
     [
         (("topolgy",), "unknown suite 'topolgy'"),

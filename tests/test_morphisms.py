@@ -1,3 +1,4 @@
+import functools
 import inspect
 import itertools
 import random
@@ -25,7 +26,12 @@ from pseudometric import (
     random_space,
 )
 
-from oracles import all_subsets, factorial_isometry, pseudoisometry_by_definition
+from oracles import (
+    all_subsets,
+    backtracking_isometry,
+    factorial_isometry,
+    pseudoisometry_by_definition,
+)
 
 
 def mk(labels, rows):
@@ -145,6 +151,13 @@ class TestFindIsometry:
         assert sorted(witness.images) == list(range(4))
         assert stats.nodes >= 4
 
+    def test_empty_spaces(self):
+        empty = Space((), ())
+        witness, stats = find_isometry(empty, empty)
+        assert witness == PointMap(empty, empty, ())
+        assert stats == IsoSearchStats()
+        assert find_isometry(empty, SINGLETON) == (None, IsoSearchStats())
+
     def test_distance_multiset_mismatch(self):
         witness, _ = find_isometry(PAIR1, PAIR2)
         assert witness is None
@@ -247,6 +260,65 @@ class TestFindIsometry:
         witness, stats = find_isometry(graph, permuted_twin(graph, [4, 2, 5, 3, 1, 0, 6]))
         assert witness.images == (5, 4, 1, 3, 0, 2, 6)
         assert (stats.nodes, stats.signature_prunes, stats.distance_checks) == (7, 42, 21)
+
+    def test_walks_the_tree_of_plain_backtracking(self):
+        # Same witness and counters as one-candidate-at-a-time backtracking,
+        # on random metrics, truncated graph metrics full of ties (unions of
+        # cycles among them, which refinement cannot split) and metrics that
+        # are not symmetric, where a check must read d2[candidate][image].
+        rng = random.Random(20)
+
+        def generated(n):
+            return random_space(GenParams(seed=rng.getrandbits(32), n=n, zero_merge_prob=0))
+
+        def graph(n, edges, cap):
+            d = [[0 if a == b else cap for b in range(n)] for a in range(n)]
+            for a, b in edges:
+                d[a][b] = d[b][a] = 1
+            for k, a, b in itertools.product(range(n), repeat=3):
+                d[a][b] = min(d[a][b], d[a][k] + d[k][b])
+            return mk([f"g{a}" for a in range(n)], d)
+
+        def random_graph(n, p, cap):
+            return graph(n, {(a, b) for a in range(n) for b in range(a) if rng.random() < p}, cap)
+
+        def cycles(n):
+            # Disjoint cycles truncated at 2: every row reads the same.
+            sizes = []
+            while n - sum(sizes) >= 6 and rng.random() < 0.5:
+                sizes.append(rng.randint(3, n - sum(sizes) - 3))
+            sizes.append(n - sum(sizes))
+            starts = itertools.accumulate([0, *sizes])
+            return graph(n, {(a + k, a + (k + 1) % m) for a, m in zip(starts, sizes)
+                             for k in range(m) if m > 1}, 2)
+
+        def skew(n, values):
+            return mk([f"s{a}" for a in range(n)],
+                      [[0 if a == b else rng.choice(values) for b in range(n)] for a in range(n)])
+
+        kinds = dict.fromkeys(("found", "exhausted", "separated", "backtracked"), 0)
+        for _ in range(2100):
+            n = rng.randint(1, 12)
+            make = functools.partial(*rng.choice((
+                (generated, n),
+                (random_graph, n, rng.choice((0.2, 0.35, 0.5)), rng.choice((2, 3))),
+                (cycles, n),
+                (skew, n, rng.choice(((1, 2), (1, 2, Fraction(3, 2))))),
+            )))
+            x = make()
+            if rng.random() < 0.6:
+                sigma = list(range(n))
+                rng.shuffle(sigma)
+                y = permuted_twin(x, sigma)
+            else:
+                y = make()
+            witness, stats = find_isometry(x, y)
+            images, nodes, prunes, checks = backtracking_isometry(x, y)
+            assert (witness and witness.images, stats.nodes) == (images, nodes)
+            assert (stats.signature_prunes, stats.distance_checks) == (prunes, checks)
+            kinds["found" if images is not None else "exhausted" if nodes else "separated"] += 1
+            kinds["backtracked"] += nodes > n
+        assert min(kinds.values()) >= 30, kinds
 
     def test_depth_is_not_bounded_by_the_recursion_limit(self):
         # A uniform metric assigns one point per search depth.
