@@ -396,9 +396,4 @@ def saturate(space: Space, A: Iterable[int]) -> frozenset[int]:
     are exactly the closed (equivalently, open) sets of the finite
     pseudometric topology.
     """
-    return _saturated(space, members_of(space, A))
-
-
-def _saturated(space: Space, members: Iterable[int]) -> frozenset[int]:
-    # saturate over members that members_of has already checked.
-    return frozenset().union(*map(space._zero_partition[1].__getitem__, members))
+    return frozenset().union(*map(space._zero_partition[1].__getitem__, members_of(space, A)))

@@ -6,8 +6,9 @@ equivalences and the completeness criteria, the morphisms suite compares the
 reflection-based pseudoisometry search against exhaustive enumeration and
 validates every witness, and the constructions suite checks the two gluing
 constructions and the generators. A fixed seed yields a bit-identical
-summary on every run and platform; the first failing check is captured as a
-bundle of canonical space documents.
+summary on every run and platform. The first failing check is recorded from
+its named inputs, in the order the check gives them: each space as a
+canonical document, every other input as ``name=value`` in the detail line.
 """
 
 from __future__ import annotations
@@ -101,14 +102,14 @@ class _Recorder:
         self.suite = suite
         self.checks = 0
 
-    def check(self, name: str, ok: bool, detail: str = "", **spaces: Space) -> None:
+    def check(self, name: str, ok: bool, **inputs: object) -> None:
         self.checks += 1
         if not ok:
             raise CheckFailure(
                 self.suite,
                 name,
-                detail,
-                {k: emit_document(v) for k, v in spaces.items()},
+                " ".join(f"{k}={v}" for k, v in inputs.items() if not isinstance(v, Space)),
+                {k: emit_document(v) for k, v in inputs.items() if isinstance(v, Space)},
             )
 
 
@@ -117,9 +118,13 @@ def _random_subset(rng: random.Random, n: int) -> frozenset[int]:
     return frozenset(i for i in range(n) if mask >> i & 1)
 
 
+def _all_subsets(n: int) -> list[frozenset[int]]:
+    return [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+
+
 def _subsets_to_try(rng: random.Random, n: int) -> list[frozenset[int]]:
     if n <= 5:
-        return [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+        return _all_subsets(n)
     seen = {frozenset(), frozenset(range(n))}
     for _ in range(30):
         seen.add(_random_subset(rng, n))
@@ -132,15 +137,11 @@ def _with_clones(base: Space, total: int, rng: random.Random) -> Space:
     return _pullback(base, _clone_points(base.n, total, rng), labels)
 
 
-def _permuted_twin(space: Space, rng: random.Random) -> tuple[Space, PointMap]:
-    """A relabeled-and-reordered copy plus the isometry onto it."""
+def _permuted_twin(space: Space, rng: random.Random) -> Space:
+    """A relabeled-and-reordered copy, isometric to ``space``."""
     sigma = list(range(space.n))
     rng.shuffle(sigma)
-    twin = _pullback(space, sigma, [f"t{i}" for i in range(space.n)])
-    images = [0] * space.n
-    for new, old in enumerate(sigma):
-        images[old] = new
-    return twin, PointMap(space, twin, tuple(images))
+    return _pullback(space, sigma, [f"t{i}" for i in range(space.n)])
 
 
 def _space(rng: random.Random, max_n: int) -> Space:
@@ -154,12 +155,7 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
     for _ in range(count):
         space = _space(rng, max_n)
         n = space.n
-        rec.check(
-            "quotient_distances_well_defined",
-            check_well_defined(space).ok,
-            "",
-            space=space,
-        )
+        rec.check("quotient_distances_well_defined", check_well_defined(space).ok, space=space)
         subsets = _subsets_to_try(rng, n)
         # The least open ball around each point, from the definition: its
         # radius is the least positive distance (any radius if there is none).
@@ -178,37 +174,28 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
             rec.check(
                 "open_iff_closed_iff_saturated",
                 o == c == s == is_open(space, A) == is_closed(space, A),
-                f"A={sorted(A)} open={o} closed={c} saturated={s}",
-                space=space,
+                A=sorted(A), open=o, closed=c, saturated=s, space=space,
             )
             rec.check(
                 "closure_equals_saturate",
                 closure(space, A)
                 == frozenset(x for x in range(n) if any(space.matrix[x][a] == 0 for a in A)),
-                f"A={sorted(A)}",
-                space=space,
+                A=sorted(A), space=space,
             )
             rec.check(
                 "boundary_completeness_criterion",
                 complete_via_boundary(space, A),
-                f"A={sorted(A)}",
-                space=space,
+                A=sorted(A), space=space,
             )
             if A:
                 rec.check(
                     "closedness_via_completeness_matches",
                     closed_via_completeness(space, A) == c,
-                    f"A={sorted(A)}",
-                    space=space,
+                    A=sorted(A), space=space,
                 )
             all_closed = all_closed and c
         if n <= 5:
-            rec.check(
-                "metric_iff_all_subsets_closed",
-                is_metric(space) == all_closed,
-                "",
-                space=space,
-            )
+            rec.check("metric_iff_all_subsets_closed", is_metric(space) == all_closed, space=space)
 
         refl = metric_reflection(space)
         for _ in range(3):
@@ -227,21 +214,16 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
                 "cauchy_limits_are_a_zero_class",
                 is_cauchy(seq) == cauchy
                 and limits == (class_of(space, cycle[0]) if cauchy else frozenset()),
-                f"prefix={prefix} cycle={cycle}",
-                space=space,
+                prefix=prefix, cycle=cycle, space=space,
             )
             rec.check(
-                "finite_spaces_are_complete",
-                (not cauchy) or bool(limits),
-                f"cycle={cycle}",
-                space=space,
+                "finite_spaces_are_complete", (not cauchy) or bool(limits), cycle=cycle, space=space
             )
             closed_set = saturate(space, _random_subset(rng, n) | set(cycle))
             rec.check(
                 "closed_subsets_are_complete",
                 (not cauchy) or bool(limits & closed_set),
-                f"cycle={cycle} A={sorted(closed_set)}",
-                space=space,
+                cycle=cycle, A=sorted(closed_set), space=space,
             )
             proj = refl.projection.images
             qseq = EPSequence(
@@ -253,9 +235,7 @@ def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) ->
                 "reflection_preserves_cauchy_and_limits",
                 is_cauchy(qseq) == cauchy
                 and bool(limit_points(qseq)) == bool(limits),
-                f"cycle={cycle}",
-                space=space,
-                quotient=refl.quotient,
+                cycle=cycle, space=space, quotient=refl.quotient,
             )
 
 
@@ -274,21 +254,16 @@ def _reverify_induced(phi: PointMap) -> bool:
 def _check_morphism_properties(rec: _Recorder, m: PointMap) -> None:
     injective = len(set(m.images)) == m.domain.n
     surjective = len(set(m.images)) == m.codomain.n
-    if is_metric(m.domain):
-        rec.check(
-            "metric_domain_implies_injective", injective, "", x=m.domain, y=m.codomain
-        )
-    if is_metric(m.codomain):
-        rec.check(
-            "metric_codomain_implies_surjective", surjective, "", x=m.domain, y=m.codomain
-        )
-    if is_metric(m.domain) and is_metric(m.codomain):
+    x, y = m.domain, m.codomain
+    if is_metric(x):
+        rec.check("metric_domain_implies_injective", injective, x=x, y=y)
+    if is_metric(y):
+        rec.check("metric_codomain_implies_surjective", surjective, x=x, y=y)
+    if is_metric(x) and is_metric(y):
         rec.check(
             "metric_to_metric_is_isometry",
             injective and surjective and is_distance_preserving(m),
-            "",
-            x=m.domain,
-            y=m.codomain,
+            x=x, y=y,
         )
 
 
@@ -303,120 +278,69 @@ def _run_morphisms(rec: _Recorder, rng: random.Random, count: int, max_n: int) -
             quotient = metric_reflection(x).quotient
             y = _with_clones(quotient, rng.randint(quotient.n, size), rng)
         else:
-            y, _ = _permuted_twin(x, rng)
+            y = _permuted_twin(x, rng)
 
         witness = are_pseudoisometric(x, y)
         oracle = brute_force_pseudoisometry(x, y)
         rec.check(
             "search_agrees_with_enumeration",
             (witness is None) == (oracle is None),
-            f"search={'found' if witness else 'none'} "
-            f"enumeration={'found' if oracle else 'none'}",
-            x=x,
-            y=y,
+            search="found" if witness else "none",
+            enumeration="found" if oracle else "none",
+            x=x, y=y,
         )
         back = are_pseudoisometric(y, x)
-        rec.check(
-            "pseudoisometric_is_symmetric",
-            (witness is None) == (back is None),
-            "",
-            x=x,
-            y=y,
-        )
-        rec.check(
-            "identity_is_pseudoisometry",
-            is_pseudoisometry(PointMap.identity(x)).ok,
-            "",
-            x=x,
-        )
+        rec.check("pseudoisometric_is_symmetric", (witness is None) == (back is None), x=x, y=y)
+        rec.check("identity_is_pseudoisometry", is_pseudoisometry(PointMap.identity(x)).ok, x=x)
         refl = metric_reflection(x)
-        rec.check(
-            "projection_is_pseudoisometry",
-            is_pseudoisometry(refl.projection).ok,
-            "",
-            x=x,
-        )
-        rec.check(
-            "section_is_pseudoisometry", is_pseudoisometry(refl.section).ok, "", x=x
-        )
+        rec.check("projection_is_pseudoisometry", is_pseudoisometry(refl.projection).ok, x=x)
+        rec.check("section_is_pseudoisometry", is_pseudoisometry(refl.section).ok, x=x)
         roundtrip = compose(refl.projection, refl.section)
-        rec.check(
-            "composites_stay_pseudoisometries",
-            is_pseudoisometry(roundtrip).ok,
-            "",
-            x=x,
-        )
+        rec.check("composites_stay_pseudoisometries", is_pseudoisometry(roundtrip).ok, x=x)
         for m in (witness, oracle):
             if m is None:
                 continue
-            rec.check("witness_is_pseudoisometry", is_pseudoisometry(m).ok, "", x=x, y=y)
-            rec.check(
-                "induced_reflection_map_is_isometry", _reverify_induced(m), "", x=x, y=y
-            )
+            rec.check("witness_is_pseudoisometry", is_pseudoisometry(m).ok, x=x, y=y)
+            rec.check("induced_reflection_map_is_isometry", _reverify_induced(m), x=x, y=y)
             _check_morphism_properties(rec, m)
         if witness is not None and back is not None:
             loop = compose(witness, back)
-            rec.check(
-                "transitivity_composites_validate",
-                is_pseudoisometry(loop).ok,
-                "",
-                x=x,
-                y=y,
-            )
+            rec.check("transitivity_composites_validate", is_pseudoisometry(loop).ok, x=x, y=y)
         if witness is not None and len(set(witness.images)) == y.n == x.n:
-            ok = True
-            for mask in range(1 << x.n):
-                A = frozenset(i for i in range(x.n) if mask >> i & 1)
-                image = frozenset(witness.images[i] for i in A)
-                if is_open(x, A) != is_open(y, image):
-                    ok = False
-                    break
-            rec.check("bijective_witness_is_homeomorphism", ok, "", x=x, y=y)
+            rec.check(
+                "bijective_witness_is_homeomorphism",
+                all(
+                    is_open(x, A) == is_open(y, {witness.images[i] for i in A})
+                    for A in _all_subsets(x.n)
+                ),
+                x=x, y=y,
+            )
 
 
 def _completion_glue_checked(rec: _Recorder, y: Space, extension: PointMap) -> PointMap:
     completed = completion_glue(y, extension)
-    rec.check(
-        "completion_glue_validates",
-        completed.codomain.validate().ok,
-        "",
-        glued=completed.codomain,
-    )
-    rec.check("completion_glue_is_superspace", is_superspace(completed), "", y=y)
+    z = completed.codomain
+    rec.check("completion_glue_validates", z.validate().ok, glued=z)
+    rec.check("completion_glue_is_superspace", is_superspace(completed), y=y)
     return completed
 
 
 def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: int) -> None:
     for _ in range(count):
         y = _space(rng, max_n)
-        rec.check(
-            "random_space_validates",
-            y.validate().ok,
-            "",
-            y=y,
-        )
+        rec.check("random_space_validates", y.validate().ok, y=y)
 
         glued = glue_zero_point(y, rng.randrange(y.n), "twin")
-        rec.check(
-            "zero_glue_validates",
-            glued.codomain.validate().ok,
-            "",
-            superspace=glued.codomain,
-        )
-        rec.check("zero_glue_is_superspace", is_superspace(glued), "", y=y)
+        z = glued.codomain
+        rec.check("zero_glue_validates", z.validate().ok, superspace=z)
+        rec.check("zero_glue_is_superspace", is_superspace(glued), y=y)
         rec.check(
             "zero_glue_leaves_set_unclosed",
-            not is_closed(glued.codomain, frozenset(glued.images)),
-            "",
-            superspace=glued.codomain,
+            not is_closed(z, frozenset(glued.images)),
+            superspace=z,
         )
-        rec.check("zero_glue_never_in_cec", not in_cec(glued), "", superspace=glued.codomain)
-        rec.check(
-            "cec_minimality_on_zero_glue",
-            check_cec_minimality(glued),
-            "",
-            superspace=glued.codomain,
-        )
+        rec.check("zero_glue_never_in_cec", not in_cec(glued), superspace=z)
+        rec.check("cec_minimality_on_zero_glue", check_cec_minimality(glued), superspace=z)
 
         refl = metric_reflection(y)
         extension = random_superspace(
@@ -424,29 +348,19 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
             GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 2)),
             force_cec=True,
         )
-        rec.check(
-            "reflection_extension_is_metric",
-            is_metric(extension.codomain),
-            "",
-            ystar=extension.codomain,
-        )
+        ystar = extension.codomain
+        rec.check("reflection_extension_is_metric", is_metric(ystar), ystar=ystar)
         completed = _completion_glue_checked(rec, y, extension)
+        z = completed.codomain
+        rec.check("completion_glue_in_cec", in_cec(completed), glued=z)
         rec.check(
-            "completion_glue_in_cec", in_cec(completed), "", glued=completed.codomain
-        )
-        rec.check(
-            "completion_glue_leaves_set_closed",
-            is_closed(completed.codomain, frozenset(completed.images)),
-            "",
-            glued=completed.codomain,
+            "completion_glue_leaves_set_closed", is_closed(z, frozenset(completed.images)), glued=z
         )
         identity_glue = _completion_glue_checked(rec, y, PointMap.identity(refl.quotient))
         rec.check(
             "completion_glue_identity_reproduces_space",
             identity_glue.codomain == y,
-            "",
-            y=y,
-            glued=identity_glue.codomain,
+            y=y, glued=identity_glue.codomain,
         )
 
         extra = random_superspace(
@@ -458,25 +372,14 @@ def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: in
             ),
             force_cec=bool(rng.randrange(2)),
         )
-        rec.check(
-            "random_superspace_embeds", is_superspace(extra), "", y=y, superspace=extra.codomain
-        )
-        rec.check(
-            "random_superspace_validates",
-            extra.codomain.validate().ok,
-            "",
-            superspace=extra.codomain,
-        )
-        rec.check(
-            "cec_minimality_on_random_superspace",
-            check_cec_minimality(extra),
-            "",
-            superspace=extra.codomain,
-        )
+        z = extra.codomain
+        rec.check("random_superspace_embeds", is_superspace(extra), y=y, superspace=z)
+        rec.check("random_superspace_validates", z.validate().ok, superspace=z)
+        rec.check("cec_minimality_on_random_superspace", check_cec_minimality(extra), superspace=z)
         forced = random_superspace(
             y, GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 3)), force_cec=True
         )
-        rec.check("forced_superspace_in_cec", in_cec(forced), "", superspace=forced.codomain)
+        rec.check("forced_superspace_in_cec", in_cec(forced), superspace=forced.codomain)
 
 
 _RUNNERS = {

@@ -24,7 +24,6 @@ from typing import Iterable
 from .core import (
     DistLike,
     Space,
-    _saturated,
     as_dist,
     class_of,
     members_of,
@@ -62,7 +61,7 @@ def open_ball(space: Space, center: int, radius: DistLike) -> frozenset[int]:
 def is_open(space: Space, A: Iterable[int]) -> bool:
     """True iff ``A`` is a union of open balls, i.e. a union of zero classes."""
     members = members_of(space, A)
-    return _saturated(space, members) == members
+    return all(b <= members for b in zero_classes(space) if b & members)
 
 
 def is_closed(space: Space, A: Iterable[int]) -> bool:
@@ -87,13 +86,8 @@ def interior(space: Space, A: Iterable[int]) -> frozenset[int]:
 
 def boundary(space: Space, A: Iterable[int]) -> frozenset[int]:
     """Closure of ``A`` minus its interior: the zero classes ``A`` splits."""
-    return _boundary(space, members_of(space, A))
-
-
-def _boundary(space: Space, members: frozenset[int]) -> frozenset[int]:
-    # boundary over members that members_of has already checked.
-    blocks = zero_classes(space)
-    return frozenset().union(*(b for b in blocks if b & members and not b <= members))
+    members = members_of(space, A)
+    return frozenset().union(*(b for b in zero_classes(space) if b & members and not b <= members))
 
 
 def is_cauchy(seq: EPSequence) -> bool:
@@ -127,13 +121,9 @@ def complete_via_boundary(space: Space, A: Iterable[int]) -> bool:
     every valid input; the predicate exists so the criterion itself is
     executable and falsifiable.
     """
-    return _complete_via_boundary(space, members_of(space, A))
-
-
-def _complete_via_boundary(space: Space, members: frozenset[int]) -> bool:
-    # complete_via_boundary over members that members_of has already checked;
-    # the class of a point x is the saturation of {x}.
-    return all(_saturated(space, (x,)) & members for x in _boundary(space, members))
+    members = members_of(space, A)
+    edge = boundary(space, members)
+    return all(b & members for b in zero_classes(space) if b <= edge)
 
 
 def closed_via_completeness(space: Space, A: Iterable[int]) -> bool:
@@ -145,4 +135,4 @@ def closed_via_completeness(space: Space, A: Iterable[int]) -> bool:
     members = members_of(space, A)
     if not members:
         raise ValueError("closed_via_completeness requires a nonempty subset")
-    return _complete_via_boundary(space, members) and _saturated(space, members) == members
+    return complete_via_boundary(space, members) and is_open(space, members)

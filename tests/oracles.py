@@ -126,6 +126,33 @@ def small_spaces(max_n: int, values: tuple[int, ...] = (0, 1, 2)) -> tuple[Space
     return tuple(spaces)
 
 
+def one_point_extensions(space: Space, values: tuple[int, ...]):
+    """Every valid space that adds a point ``z`` to ``space``, with entries from ``values``.
+
+    The new point comes last; every assignment of its distances is tried
+    and kept when an independent triangle scan passes. ``space`` must not
+    use the label ``z``.
+    """
+    for row in itertools.product(map(Fraction, values), repeat=space.n):
+        rows = [[*r, v] for r, v in zip(space.matrix, row)] + [[*row, Fraction(0)]]
+        if triangle_ok(rows):
+            yield Space(space.labels + ("z",), tuple(map(tuple, rows)))
+
+
+def reflection_key(space: Space) -> tuple[Fraction, ...]:
+    """The isometry class of a space's metric reflection, from the definition.
+
+    The reflection keeps one point per class of distance 0, here its least
+    member; the key is the least row-major distance matrix of those members
+    over all their orders. Built without ``metric_reflection``.
+    """
+    reps = [i for i in range(space.n) if all(space.matrix[i][j] != 0 for j in range(i))]
+    return min(
+        tuple(space.matrix[a][b] for a in order for b in order)
+        for order in itertools.permutations(reps)
+    )
+
+
 def all_subsets(n: int):
     for mask in range(1 << n):
         yield frozenset(i for i in range(n) if mask >> i & 1)

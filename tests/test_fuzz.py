@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -129,6 +131,59 @@ def test_structured_counterexample_is_pinned(monkeypatch, capsys):
     argv = ["fuzz", "--seed", "3", "--count", "5", "--max-n", "4", "--format", "structured"]
     assert main(argv) == 1
     assert capsys.readouterr() == (PINNED_COUNTEREXAMPLE, "")
+
+
+@pytest.mark.parametrize(
+    "name, replacement, counterexample, digest",
+    [
+        (
+            "is_open",
+            lambda space, A: len(A) < 2,
+            "counterexample (topology/open_iff_closed_iff_saturated): "
+            "A=[0] open=False closed=False saturated=False",
+            "f4867e4755b1c6ac7aa2c9457d027383968660400a0b4995ffdb828087b15a80",
+        ),
+        (
+            "limit_points",
+            lambda seq: frozenset(),
+            "counterexample (topology/cauchy_limits_are_a_zero_class): prefix=(0,) cycle=(3, 3)",
+            "58ed12cb494fb2329ecbb5a29f3cbe495ae53157b6516456332c8dbbc26cb127",
+        ),
+        (
+            "check_well_defined",
+            lambda space: types.SimpleNamespace(ok=False),
+            "counterexample (topology/quotient_distances_well_defined): ",
+            "f5fe7f6e0744f1a8abfddaca1e732d0d0e338ed632ff20ca686215f99a45cd3f",
+        ),
+        (
+            "brute_force_pseudoisometry",
+            lambda x, y: None,
+            "counterexample (morphisms/search_agrees_with_enumeration): "
+            "search=found enumeration=none",
+            "8a9a3b84793e3835d2b6d0f2f79c8f0ac4f8d5c13511146f2cef976e9a24ec75",
+        ),
+        (
+            "in_cec",
+            lambda m: m.codomain.n == m.domain.n,
+            "counterexample (constructions/completion_glue_in_cec): ",
+            "76fbf5a021d19e0385026319ad02fd90663baca4b184d79b3c2039933a5ecd55",
+        ),
+    ],
+    ids=[
+        "open_iff_closed_iff_saturated",
+        "cauchy_limits_are_a_zero_class",
+        "quotient_distances_well_defined",
+        "search_agrees_with_enumeration",
+        "completion_glue_in_cec",
+    ],
+)
+def test_failure_records_are_pinned(monkeypatch, name, replacement, counterexample, digest):
+    # One library name broken per case: the whole failing summary, its
+    # detail fields and document bundle included, is pinned.
+    monkeypatch.setattr(pseudometric.fuzz, name, replacement)
+    text = run_fuzz(seed=0, count=20, max_n=6).summary()
+    assert counterexample in text.splitlines()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_morphism_generator_covers_metric_combinations():
