@@ -72,6 +72,10 @@ def parse_document(text: str) -> Space:
         raise DocumentError(e.msg, f"line {e.lineno}, column {e.colno}") from None
     except RecursionError:
         raise DocumentError("document nests too deeply", "$") from None
+    except DocumentError:  # repeated members
+        raise
+    except ValueError:  # the interpreter's limit on digits per integer
+        raise DocumentError("JSON number too long", "$") from None
     if not isinstance(data, dict):
         raise DocumentError("document must be a JSON object", "$")
     extra = set(data) - {"points", "d"}

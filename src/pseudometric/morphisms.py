@@ -11,6 +11,7 @@ provides the independent enumeration oracle.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add
 
@@ -28,11 +29,14 @@ from .reflection import metric_reflection
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an enumeration would exceed its cap."""
+    """Raised when an enumeration or a search would exceed its cap."""
 
 
 # The most maps `brute_force_pseudoisometry` enumerates.
 _MAP_CAP = 10**6
+# The most nodes `find_isometry` charges: above every test and benchmark
+# pair (2,241,280 nodes at most), and below rook vs Shrikhande times K2^4.
+_NODE_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -107,31 +111,37 @@ def induced_reflection_map(phi: PointMap) -> PointMap:
 
 
 def _joint_signatures(d1: list[list[int]], d2: list[list[int]]) -> tuple[list[int], list[int]]:
-    # Iterated signature refinement over both matrices at once (ints over
-    # one common scale), so equal colors are comparable across them.
-    # Initial color: sorted multiset of distances to all points; refinement
-    # folds in the colors at each distance. With C joint colors, the pair
-    # (d(i, j), color of j) is coded as the int d(i, j) * C + color, which is
-    # one-to-one and sorts as the pairs do, so a profile sorts one tuple of
-    # ints. The point's own pair (0, its color) is shared by its whole color
-    # class, so it splits nothing. Stops when the number of joint color
-    # classes stabilizes.
-    def canon(profiles1, profiles2):
-        # Joint colors, numbered in profile order, and how many there are.
-        table = {p: c for c, p in enumerate(sorted(set(profiles1) | set(profiles2)))}
-        return [table[p] for p in profiles1], [table[p] for p in profiles2], len(table)
-
-    def refine(d, c, classes):
-        return [
-            (ci, tuple(sorted(map(add, map(classes.__mul__, row), c)))) for ci, row in zip(c, d)
-        ]
-
-    c1, c2, classes = canon(*([tuple(sorted(row)) for row in d] for d in (d1, d2)))
+    # Color refinement over both matrices at once (ints over one common
+    # scale), so equal colors are comparable across them. Every point
+    # starts in color 0, and a round gives each point the profile (its
+    # color, the sorted codes d(i, j) * C + color of j over its own
+    # space), with C colors in all: the code is one-to-one and sorts as the
+    # pairs do. The distinct profiles of both spaces are numbered together,
+    # in sorted order. From one color the codes are the distances, so round
+    # one colors by sorted rows. The point's own code is shared by its
+    # whole color class, so it splits nothing. Stops when the number of
+    # colors stops changing.
+    n1 = len(d1)
+    colors, classes = [0] * (n1 + len(d2)), 1
     while True:
-        c1, c2, new_classes = canon(refine(d1, c1, classes), refine(d2, c2, classes))
-        if new_classes == classes:
-            return c1, c2
-        classes = new_classes
+        profiles = [
+            (ci, tuple(sorted(map(add, map(classes.__mul__, row), c))))
+            for d, c in ((d1, colors[:n1]), (d2, colors[n1:]))
+            for ci, row in zip(c, d)
+        ]
+        table = {p: k for k, p in enumerate(sorted(set(profiles)))}
+        colors = [table[p] for p in profiles]
+        if len(table) == classes:
+            return colors[:n1], colors[n1:]
+        classes = len(table)
+
+
+def _bitmasks(keys: Iterable[int]) -> dict[int, int]:
+    # {key: the mask of the positions holding it}.
+    masks: dict[int, int] = {}
+    for j, key in enumerate(keys):
+        masks[key] = masks.get(key, 0) | 1 << j
+    return masks
 
 
 def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats]:
@@ -154,6 +164,12 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
     read off the chain, and on success the candidates that backtracking
     would never reach, those past each depth's witness target, are taken
     off again.
+
+    The search charges each depth's candidates on entering it and raises
+    :class:`ResourceLimitError` once more than 10**8 nodes are charged. For
+    a search that runs to exhaustion that is its node count; one that finds
+    a witness can be charged more than it reports, by the candidates past
+    the witness.
     """
     if not is_metric(m1) or not is_metric(m2):
         raise ValueError("isometry search requires metric spaces")
@@ -165,9 +181,7 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
     # {1, 2} with {1/2, 1}.
     d1, d2 = _scaled(m1.matrix, m2.matrix)
     c1, c2 = _joint_signatures(d1, d2)
-    by_color: dict[int, int] = {}
-    for j, c in enumerate(c2):
-        by_color[c] = by_color.get(c, 0) | 1 << j
+    by_color = _bitmasks(c2)
     masks = [by_color.get(c, 0) for c in c1]  # masks[i]: the candidate targets of i
     sizes = [mask.bit_count() for mask in masks]
     prunes = n * n - sum(sizes)
@@ -176,12 +190,7 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
 
     order = sorted(range(n), key=sizes.__getitem__)
     # cols[v][x]: the mask of the targets j with d2[j][v] == x.
-    cols: list[dict[int, int]] = []
-    for column in zip(*d2):
-        col: dict[int, int] = {}
-        for j, x in enumerate(column):
-            col[x] = col.get(x, 0) | 1 << j
-        cols.append(col)
+    cols = list(map(_bitmasks, zip(*d2)))
     placed: list[dict[int, int]] = []  # the column of each placed point's image, in depth order
 
     def walk(x: int, k: int) -> tuple[int, int, int]:
@@ -207,6 +216,8 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
         more_nodes, more_checks, x = walk(masks[order[k]] & ~used, k)
         nodes += more_nodes
         checks += more_checks
+        if nodes > _NODE_CAP:
+            raise ResourceLimitError(f"isometry search exceeds the cap of {_NODE_CAP} nodes")
         while not x and k:  # no candidate left at this depth: backtrack
             k -= 1
             placed.pop()
@@ -269,24 +280,13 @@ def brute_force_pseudoisometry(x: Space, y: Space) -> PointMap | None:
     that a :class:`ResourceLimitError` is raised. This is the independent
     oracle against the reflection-based search.
     """
-    total = y.n**x.n
-    if total > _MAP_CAP:
-        raise ResourceLimitError(
-            f"enumerating {y.n}^{x.n} = {total} maps exceeds the cap of {_MAP_CAP}"
-        )
+    if y.n**x.n > _MAP_CAP:
+        raise ResourceLimitError(f"enumerating {y.n}^{x.n} maps exceeds the cap of {_MAP_CAP}")
     dm, cm = x.matrix, y.matrix
+    pairs = tuple(itertools.combinations(range(x.n), 2))
     for images in itertools.product(range(y.n), repeat=x.n):
-        ok = True
-        for i in range(x.n):
-            for j in range(i + 1, x.n):
-                if cm[images[i]][images[j]] != dm[i][j]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        hit = set(images)
-        if all(any(cm[u][v] == 0 for v in hit) for u in range(y.n)):
-            return PointMap(x, y, images)
+        if all(cm[images[i]][images[j]] == dm[i][j] for i, j in pairs):
+            hit = set(images)
+            if all(any(cm[u][v] == 0 for v in hit) for u in range(y.n)):
+                return PointMap(x, y, images)
     return None

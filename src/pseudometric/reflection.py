@@ -16,7 +16,6 @@ from .core import (
     Space,
     Violation,
     _distance_mismatches,
-    zero_classes,
 )
 
 
@@ -67,8 +66,8 @@ def check_well_defined(space: Space) -> Report:
     triangle inequality or symmetry has one. A zero pattern that is not an
     equivalence raises ``ValueError``, as in :func:`~pseudometric.core.zero_classes`.
     """
-    least = {i: min(b) for b in zero_classes(space) for i in b}
-    r = PointMap(space, space, tuple(least[i] for i in range(space.n)))
+    _, classes, reps = space._reflection
+    r = PointMap(space, space, tuple(map(reps.__getitem__, classes)))
     return Report(tuple(
         Violation("class_distance", (r.images[i], r.images[j], i, j), (got, want))
         for i, j, want, got in _distance_mismatches(r)

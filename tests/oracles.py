@@ -204,6 +204,34 @@ def factorial_isometry(s1: Space, s2: Space) -> tuple[int, ...] | None:
     return None
 
 
+def joint_refinement(d1, d2):
+    """Joint colors of the points of two int matrices, refined until stable.
+
+    The colors start from the sorted rows; each round sorts the pairs
+    ``(d[i][j], color of j)`` over the other points ``j`` of the same
+    matrix, and numbers the distinct profiles of both matrices together.
+    Stops when the number of colors stops changing.
+    """
+
+    def canon(profiles1, profiles2):
+        table = {p: c for c, p in enumerate(sorted(set(profiles1) | set(profiles2)))}
+        return [table[p] for p in profiles1], [table[p] for p in profiles2], len(table)
+
+    def refine(d, c):
+        n = len(d)
+        return [
+            (c[i], tuple(sorted((d[i][j], c[j]) for j in range(n) if j != i))) for i in range(n)
+        ]
+
+    c1, c2, classes = canon(*([tuple(sorted(row)) for row in d] for d in (d1, d2)))
+    while True:
+        c1, c2, new_classes = canon(refine(d1, c1), refine(d2, c2))
+        if new_classes == classes:
+            break
+        classes = new_classes
+    return c1, c2
+
+
 def backtracking_isometry(s1: Space, s2: Space):
     """Isometry search by plain backtracking: ``(images or None, nodes, prunes, checks)``.
 
@@ -225,23 +253,7 @@ def backtracking_isometry(s1: Space, s2: Space):
         [[v.numerator * (scale // v.denominator) for v in row] for row in s.matrix]
         for s in (s1, s2)
     )
-
-    def canon(profiles1, profiles2):
-        table = {p: c for c, p in enumerate(sorted(set(profiles1) | set(profiles2)))}
-        return [table[p] for p in profiles1], [table[p] for p in profiles2], len(table)
-
-    def refine(d, c):
-        n = len(d)
-        return [
-            (c[i], tuple(sorted((d[i][j], c[j]) for j in range(n) if j != i))) for i in range(n)
-        ]
-
-    c1, c2, classes = canon(*([tuple(sorted(row)) for row in d] for d in (d1, d2)))
-    while True:
-        c1, c2, new_classes = canon(refine(d1, c1), refine(d2, c2))
-        if new_classes == classes:
-            break
-        classes = new_classes
+    c1, c2 = joint_refinement(d1, d2)
 
     candidates = [[j for j in range(n) if c2[j] == c1[i]] for i in range(n)]
     prunes = sum(n - len(c) for c in candidates)

@@ -142,6 +142,14 @@ class TestValidate:
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
         assert "Traceback" not in captured.err
 
+    def test_overlong_json_number_names_its_file(self, tmp_path, capsys):
+        long = tmp_path / "long.json"
+        long.write_text('{"points": ["a"], "d": [[%s]]}' % ("1" * 5000), encoding="utf-8")
+        assert main(["validate", str(long)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {long}: $: JSON number too long\n"
+
     def test_structured_output(self, docs, capsys):
         assert main(["validate", docs["classes"], "--format", "structured"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -213,6 +221,28 @@ class TestMorphismCommands:
 
     def test_isometric_rejects_pseudometric(self, docs):
         assert main(["isometric", docs["classes"], docs["pair"]]) == 2
+
+    def test_search_over_its_node_budget_exits_three(self, tmp_path, capsys, monkeypatch):
+        # Rook 4x4 against Shrikhande: exhausting the search takes 4,096 nodes.
+        cells = [(a, b) for a in range(4) for b in range(4)]
+        steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+        graphs = {
+            "rook": lambda p, q: (p[0] == q[0]) != (p[1] == q[1]),
+            "shrikhande": lambda p, q: ((q[0] - p[0]) % 4, (q[1] - p[1]) % 4) in steps,
+        }
+        paths = []
+        for name, adjacent in graphs.items():
+            rows = [["0" if p == q else "1" if adjacent(p, q) else "2" for q in cells] for p in cells]
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({"points": [f"v{i}" for i in range(16)], "d": rows}))
+            paths.append(str(path))
+        monkeypatch.setattr("pseudometric.morphisms._NODE_CAP", 4095)
+        assert main(["isometric", *paths]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: isometry search exceeds the cap of 4095 nodes\n"
+        monkeypatch.setattr("pseudometric.morphisms._NODE_CAP", 4096)
+        assert main(["isometric", *paths]) == 1
 
     def test_pseudoisometric_found(self, docs, capsys):
         assert main(["pseudoisometric", docs["classes"], docs["pair"]]) == 0

@@ -141,6 +141,20 @@ def test_overlong_literal_is_a_document_error(literal):
     assert str(err.value) == f"d[0][1]: distance literal too long ({len(literal)} characters)"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ['{"points": [%s], "d": [["0"]]}' % ("1" * 5000), '{"points": ["a"], "d": [[%s]]}' % ("1" * 5000)],
+    ids=["points", "d"],
+)
+def test_overlong_json_number_is_a_document_error(text):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for a
+    # JSON integer past the interpreter's limit on digits per conversion.
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert err.value.where == "$"
+    assert str(err.value) == "$: JSON number too long"
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 2**32),

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pseudometric import core
+from pseudometric import core, morphisms
 from pseudometric import (
     GenParams,
     IsoSearchStats,
@@ -20,6 +20,7 @@ from pseudometric import (
     find_isometry,
     induced_reflection_map,
     is_distance_preserving,
+    is_metric,
     is_open,
     is_pseudoisometry,
     metric_reflection,
@@ -30,7 +31,9 @@ from oracles import (
     all_subsets,
     backtracking_isometry,
     factorial_isometry,
+    joint_refinement,
     pseudoisometry_by_definition,
+    small_spaces,
 )
 
 
@@ -50,6 +53,27 @@ def permuted_twin(space, sigma):
         [[space.matrix[sigma[i]][sigma[j]] for j in range(space.n)] for i in range(space.n)],
     )
     return twin
+
+
+def graph_metric(n, edges, cap):
+    # The shortest-path metric of a graph, truncated at ``cap``.
+    d = [[0 if a == b else cap for b in range(n)] for a in range(n)]
+    for a, b in edges:
+        d[a][b] = d[b][a] = 1
+    for k, a, b in itertools.product(range(n), repeat=3):
+        d[a][b] = min(d[a][b], d[a][k] + d[k][b])
+    return mk([f"g{a}" for a in range(n)], d)
+
+
+def rook_and_shrikhande():
+    # Both SRG(16,6,2,2) at distances 0/1/2: refinement cannot split them.
+    cells = [(a, b) for a in range(4) for b in range(4)]
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    rook = [(p, q) for p in range(16) for q in range(p)
+            if (cells[p][0] == cells[q][0]) != (cells[p][1] == cells[q][1])]
+    shrikhande = [(p, q) for p in range(16) for q in range(p)
+                  if ((cells[q][0] - cells[p][0]) % 4, (cells[q][1] - cells[p][1]) % 4) in steps]
+    return graph_metric(16, rook, 2), graph_metric(16, shrikhande, 2)
 
 
 class TestDistancePreserving:
@@ -333,6 +357,58 @@ class TestFindIsometry:
         assert witness is not None and witness.images == tuple(range(n))
         assert (stats.nodes, stats.distance_checks) == (n, n * (n - 1) // 2)
 
+    def test_node_cap_admits_exactly_its_size(self, monkeypatch):
+        # Rook vs Shrikhande runs to exhaustion, so it is charged exactly
+        # the 4,096 nodes it reports.
+        rook, shrikhande = rook_and_shrikhande()
+        monkeypatch.setattr(morphisms, "_NODE_CAP", 4096)
+        witness, stats = find_isometry(rook, shrikhande)
+        assert witness is None
+        assert (stats.nodes, stats.signature_prunes, stats.distance_checks) == (4096, 0, 5520)
+        monkeypatch.setattr(morphisms, "_NODE_CAP", 4095)
+        with pytest.raises(ResourceLimitError, match="cap of 4095 nodes"):
+            find_isometry(rook, shrikhande)
+
+    def test_joint_colors_match_the_oracle_refinement(self):
+        # The library refines from one color with int codes d * C + color;
+        # the oracle starts from sorted rows with (d, color) pairs. Both
+        # must split the points of the two spaces into the same classes.
+        # Both treat the two spaces alike, so each unordered pair of small
+        # spaces is tried once; their entries are ints, so each matrix is
+        # its own scaled form.
+        metric = [core._scaled(s.matrix)[0] for s in small_spaces(4) if is_metric(s)]
+        pairs = [(a, b) for i, a in enumerate(metric) for b in metric[i:] if len(a) == len(b)]
+        rng = random.Random(22)
+
+        def cycles(n):
+            # Disjoint cycles of random lengths, truncated at 2.
+            sizes = []
+            while n - sum(sizes) >= 6 and rng.random() < 0.5:
+                sizes.append(rng.randint(3, n - sum(sizes) - 3))
+            sizes.append(n - sum(sizes))
+            starts = itertools.accumulate([0, *sizes])
+            return graph_metric(n, {(a + k, a + (k + 1) % m) for a, m in zip(starts, sizes)
+                                    for k in range(m) if m > 1}, 2)
+
+        for _ in range(150):
+            n = rng.randint(1, 12)
+            make = rng.choice((
+                lambda: random_space(GenParams(seed=rng.getrandbits(32), n=n, zero_merge_prob=0)),
+                lambda: graph_metric(n, {(a, b) for a in range(n) for b in range(a)
+                                         if rng.random() < 0.35}, rng.choice((2, 3))),
+                lambda: cycles(n),
+            ))
+            x = make()
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            y = permuted_twin(x, sigma) if rng.random() < 0.5 else make()
+            pairs.append(core._scaled(x.matrix, y.matrix))
+        assert len(pairs) == 2_120 + 150
+        for d1, d2 in pairs:
+            a = sum(morphisms._joint_signatures(d1, d2), [])
+            b = sum(joint_refinement(d1, d2), [])
+            assert len(set(zip(a, b))) == len(set(a)) == len(set(b)), (d1, d2)
+
 
 class TestArePseudoisometric:
     def test_space_and_its_reflection(self):
@@ -399,6 +475,19 @@ class TestBruteForce:
         zeros100 = mk([f"y{i}" for i in range(100)], [[0] * 100] * 100)
         m = brute_force_pseudoisometry(zeros3, zeros100)
         assert m is not None and m.images == (0, 0, 0)
+
+    def test_cap_message_has_no_decimal_total(self):
+        # 300^300 has 744 digits, past a digit limit of 640: a message that
+        # spelled the total out would raise a plain ValueError.
+        zeros = mk([f"p{i}" for i in range(300)], [[0] * 300] * 300)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ResourceLimitError) as err:
+                brute_force_pseudoisometry(zeros, zeros)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert str(err.value) == "enumerating 300^300 maps exceeds the cap of 1000000"
 
     def test_cap_enforced(self):
         # 8^8 maps exceed the oracle's cap of 10^6.
