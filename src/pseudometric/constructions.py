@@ -38,8 +38,10 @@ class GenParams:
 
     ``n`` is the number of points to generate (points to add, for
     superspace generation, where 0 is allowed). ``zero_merge_prob`` controls
-    how often points are glued at distance 0. Same params, same output, bit
-    for bit.
+    how often points are glued at distance 0: an exact rational in [0, 1],
+    given as an int, str or ``Fraction``. A float raises ``TypeError``; a
+    bool, or anything else ``Fraction`` cannot read, raises ``ValueError``.
+    Same params, same output, bit for bit.
     """
 
     seed: int
@@ -53,9 +55,15 @@ class GenParams:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.n < 0:
             raise ValueError("n must be non-negative")
-        if isinstance(self.zero_merge_prob, float):
+        value = self.zero_merge_prob
+        if isinstance(value, float):
             raise TypeError("float zero_merge_prob is not allowed; pass int, str or Fraction")
-        p = Fraction(self.zero_merge_prob)
+        try:
+            p = Fraction(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            p = None
+        if p is None or isinstance(value, bool):
+            raise ValueError(f"zero_merge_prob must be a rational number, got {value!r}")
         if not 0 <= p <= 1:
             raise ValueError("zero_merge_prob must lie in [0, 1]")
         object.__setattr__(self, "zero_merge_prob", p)

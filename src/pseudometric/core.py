@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress, product
+from itertools import combinations, compress, product
 from operator import add, not_
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -33,13 +33,16 @@ def as_dist(value: DistLike) -> Dist:
     """Coerce ``value`` to a non-negative exact rational distance.
 
     Floats are rejected outright with ``TypeError``: binary rounding would
-    make exact zero-distance tests meaningless. Anything else that
-    ``Fraction`` cannot read raises ``ValueError``.
+    make exact zero-distance tests meaningless. So are bools, which are
+    flags, not distances. Anything else that ``Fraction`` cannot read raises
+    ``ValueError``.
     """
     if type(value) is Fraction:
         d = value
     elif isinstance(value, float):
         raise TypeError("float distances are not allowed; pass int, str or Fraction")
+    elif isinstance(value, bool):
+        raise TypeError("bool distances are not allowed; pass int, str or Fraction")
     else:
         try:
             d = Fraction(value)
@@ -70,7 +73,8 @@ def _is_utf8(label: str) -> bool:
 def _shaped(labels: Iterable[str], matrix: Iterable[Iterable]) -> tuple[tuple, list[tuple]]:
     # The shape rule of every matrix, checked before any entry is coerced:
     # distinct nonempty labels that encode as UTF-8, and n rows of n entries
-    # each. Returns the labels and the rows as tuples, entries untouched.
+    # each. Returns the labels and the rows as tuples, entries untouched. A
+    # string is a sequence too, but never a matrix or a row of one.
     labels = tuple(labels)
     for lab in labels:
         if not isinstance(lab, str) or not lab:
@@ -80,7 +84,13 @@ def _shaped(labels: Iterable[str], matrix: Iterable[Iterable]) -> tuple[tuple, l
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels")
     n = len(labels)
-    rows = [tuple(row) for row in matrix]
+    if isinstance(matrix, (str, bytes)):
+        raise ValueError(f"matrix must be a sequence of rows, got {matrix!r}")
+    rows = []
+    for i, row in enumerate(matrix):
+        if isinstance(row, (str, bytes)):
+            raise ValueError(f"matrix row {i} must be a sequence of entries, got {row!r}")
+        rows.append(tuple(row))
     if len(rows) != n:
         raise ValueError(f"matrix has {len(rows)} rows, expected {n}")
     for i, row in enumerate(rows):
@@ -170,8 +180,8 @@ class Space:
             for i, j in product(range(self.n), repeat=2):
                 dij = self.matrix[i][j]
                 if (dij == 0) != (owner[i] is owner[j]):
-                    symmetric = (dij == 0) == (self.matrix[j][i] == 0)
-                    rule = "reflexive" if i == j else "transitive" if symmetric else "symmetric"
+                    mirrored = (dij == 0) == (self.matrix[j][i] == 0)
+                    rule = "reflexive" if i == j else "transitive" if mirrored else "symmetric"
                     raise ValueError(
                         f"zero-distance relation is not {rule}: "
                         f"d({self.labels[i]},{self.labels[j]}) = "
@@ -280,8 +290,8 @@ def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> list[list[list[int]]]:
 def _raw_rational(value: object, where: str) -> Fraction:
     if isinstance(value, float):
         raise ValueError(f"entry {where} is a float; distances must be exact rationals")
-    if type(value) is Fraction:
-        return value
+    if isinstance(value, bool):
+        raise ValueError(f"entry {where} is a bool; distances must be exact rationals")
     try:
         return Fraction(value)  # type: ignore[arg-type]
     except (TypeError, ValueError, ZeroDivisionError):
@@ -299,7 +309,7 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
     witness ``(i, k, j)`` means ``d(i, j) > d(i, k) + d(k, j)``.
     """
     labels, raw = _shaped(labels, matrix)
-    n = len(labels)
+    points = range(len(labels))
     # A row of Fractions (every Space row) is already what _raw_rational returns.
     rows = [
         r
@@ -309,42 +319,41 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
     ]
 
     (ints,) = _scaled(rows)
-    violations: list[Violation] = []
-    for i, ri in enumerate(ints):
-        for j, dij in enumerate(ri):
-            if dij < 0:
-                violations.append(Violation("negative", (i, j), (rows[i][j],)))
-    for i, ri in enumerate(ints):
-        if ri[i] != 0:
-            violations.append(Violation("diagonal", (i,), (rows[i][i],)))
-    before_symmetry = len(violations)
-    for i, ri in enumerate(ints):
-        for j in range(i + 1, n):
-            if ri[j] != ints[j][i]:
-                violations.append(Violation("symmetry", (i, j), (rows[i][j], rows[j][i])))
-    symmetric = len(violations) == before_symmetry
+    negative = [
+        Violation("negative", (i, j), (rows[i][j],))
+        for i, ri in enumerate(ints)
+        for j, dij in enumerate(ri)
+        if dij < 0
+    ]
+    diagonal = [Violation("diagonal", (i,), (rows[i][i],)) for i in points if ints[i][i]]
+    symmetry = [
+        Violation("symmetry", (i, j), (rows[i][j], rows[j][i]))
+        for i, j in combinations(points, 2)
+        if ints[i][j] != ints[j][i]
+    ]
     # One C-level pass per (i, j) finds the shortest two-step path; only a
-    # pair that some k violates is walked again, in k order, for witnesses.
-    # On a symmetric matrix (i, k, j) violates iff (j, k, i) does, so the
-    # pairs with i <= j find them all. The diagonal stays in: with negative
+    # pair that some k violates is walked again, in k order, for witnesses,
+    # with its row and column bound once. On a symmetric matrix (an empty
+    # symmetry list) (i, k, j) violates iff (j, k, i) does, so the pairs
+    # with i <= j find them all. The diagonal stays in: with negative
     # entries d(i, i) > d(i, k) + d(k, i) can hold.
     cols = list(zip(*ints))
     pairs = [
         (i, j)
         for i, ri in enumerate(ints)
-        for j in range(i if symmetric else 0, n)
+        for j in points[0 if symmetry else i :]
         if ri[j] > min(map(add, ri, cols[j]))
     ]
-    if symmetric:
+    if not symmetry:
         pairs = sorted(pairs + [(j, i) for i, j in pairs if i != j])
-    for i, j in pairs:
-        ri, cj, dij = ints[i], cols[j], ints[i][j]
-        for k in range(n):
-            if dij > ri[k] + cj[k]:
-                violations.append(
-                    Violation("triangle", (i, k, j), (rows[i][j], rows[i][k], rows[k][j]))
-                )
-    return Report(tuple(violations))
+    triangle = [
+        Violation("triangle", (i, k, j), (rows[i][j], rows[i][k], rows[k][j]))
+        for i, j in pairs
+        for ri, cj in [(ints[i], cols[j])]
+        for k in points
+        if ri[j] > ri[k] + cj[k]
+    ]
+    return Report(tuple(negative + diagonal + symmetry + triangle))
 
 
 def is_metric(space: Space) -> bool:

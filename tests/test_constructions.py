@@ -232,6 +232,28 @@ class TestRandomSpace:
         assert p.zero_merge_prob == 1
         assert zero_classes(random_space(p)) == (frozenset({0, 1, 2}),)
 
+    @pytest.mark.parametrize(
+        "value",
+        ["abc", None, "1/0", [1], True, False],
+        ids=["word", "None", "zero-denominator", "list", "True", "False"],
+    )
+    def test_unreadable_probability_names_it(self, value):
+        # Anything Fraction cannot read, and a bool, is refused by name.
+        with pytest.raises(ValueError) as caught:
+            GenParams(seed=1, n=4, zero_merge_prob=value)
+        assert str(caught.value) == f"zero_merge_prob must be a rational number, got {value!r}"
+
+    def test_probability_messages_are_unchanged(self):
+        with pytest.raises(TypeError) as caught:
+            GenParams(seed=1, n=4, zero_merge_prob=0.5)
+        assert str(caught.value) == (
+            "float zero_merge_prob is not allowed; pass int, str or Fraction"
+        )
+        for outside in ("3/2", "-1/4"):
+            with pytest.raises(ValueError) as caught:
+                GenParams(seed=1, n=4, zero_merge_prob=outside)
+            assert str(caught.value) == "zero_merge_prob must lie in [0, 1]"
+
     def test_float_probability_rejected(self):
         # A float would carry its binary rounding into every draw, as in as_dist.
         with pytest.raises(TypeError, match="float"):

@@ -16,6 +16,7 @@ from pseudometric import (
     format_dist,
     is_metric,
     metric_reflection,
+    open_ball,
     random_space,
     saturate,
     validate_pseudometric,
@@ -69,6 +70,21 @@ class TestDist:
                 as_dist(unreadable)
         with pytest.raises(ValueError, match="not a rational number"):
             Space(("a",), [["1/0"]])
+
+    def test_rejects_bool_as_a_float_is_rejected(self):
+        # A bool is a flag, not a distance, wherever a float is refused.
+        message = "bool distances are not allowed; pass int, str or Fraction"
+        for flag in (True, False):
+            with pytest.raises(TypeError) as caught:
+                as_dist(flag)
+            assert str(caught.value) == message
+        with pytest.raises(TypeError, match=message):
+            Space(("a", "b"), ((False, True), (True, False)))
+        with pytest.raises(TypeError, match=message):
+            open_ball(METRIC3, 0, True)
+        with pytest.raises(TypeError) as caught:
+            as_dist(0.5)
+        assert str(caught.value) == "float distances are not allowed; pass int, str or Fraction"
 
     def test_format_lowest_terms(self):
         assert format_dist(Fraction(4, 2)) == "2"
@@ -140,6 +156,56 @@ class TestValidate:
             validate_pseudometric("ab", [[0, 1], ["one", 0]])
         with pytest.raises(ValueError, match=r"entry \(1,1\) is not a rational"):
             validate_pseudometric("ab", [[0, 1], [1, None]])
+
+    def test_bool_entries_are_input_errors(self):
+        for rows, message in [
+            ([[0, True], [1, 0]], "entry (0,1) is a bool; distances must be exact rationals"),
+            ([[False, 1], [1, 0]], "entry (0,0) is a bool; distances must be exact rationals"),
+            ([[0, 1], [0.5, 0]], "entry (1,0) is a float; distances must be exact rationals"),
+        ]:
+            with pytest.raises(ValueError) as caught:
+                validate_pseudometric("ab", rows)
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "labels, matrix, message",
+        [
+            (("a", "b"), ["01", "10"], "matrix row 0 must be a sequence of entries, got '01'"),
+            (("a", "b"), [[0, 1], b"10"], "matrix row 1 must be a sequence of entries, got b'10'"),
+            (("a",), "0", "matrix must be a sequence of rows, got '0'"),
+            (("a",), b"0", "matrix must be a sequence of rows, got b'0'"),
+            ((), "", "matrix must be a sequence of rows, got ''"),
+        ],
+        ids=["str-rows", "bytes-row", "str-matrix", "bytes-matrix", "empty-str"],
+    )
+    def test_string_rows_are_refused(self, labels, matrix, message):
+        # A string is a sequence of characters, not of entries: both entry
+        # points refuse it with the same error instead of reading "01" as 0, 1.
+        with pytest.raises(ValueError) as from_space:
+            Space(labels, matrix)
+        with pytest.raises(ValueError) as from_validate:
+            validate_pseudometric(labels, matrix)
+        assert str(from_validate.value) == str(from_space.value) == message
+
+    def test_whole_report_on_every_small_matrix(self):
+        # Every 2-point matrix over {-1, 0, 1/2, 1, 2} and every 3-point
+        # matrix over {0, 1, 2} with a zero diagonal, asymmetric ones
+        # included: the whole report (rules, order, witnesses, values)
+        # equals the Fraction loops', so both triangle screens and the rule
+        # order meet every small case. Mixed rows take the entry-by-entry path.
+        matrices = [
+            [e[:2], e[2:]] for e in itertools.product((-1, 0, Fraction(1, 2), 1, 2), repeat=4)
+        ] + [
+            [[0, a, b], [c, 0, d], [e, f, 0]]
+            for a, b, c, d, e, f in itertools.product((0, 1, 2), repeat=6)
+        ]
+        assert len(matrices) == 625 + 729
+        for rows in matrices:
+            labels = ("a", "b", "c")[: len(rows)]
+            report = validate_pseudometric(labels, rows)
+            expected = validate_by_definition(labels, rows)
+            assert report == expected
+            assert repr(report) == repr(expected)
 
     @pytest.mark.parametrize(
         "denominators",
