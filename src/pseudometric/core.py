@@ -70,11 +70,11 @@ def _is_utf8(label: str) -> bool:
     return True
 
 
-def _shaped(labels: Iterable[str], matrix: Iterable[Iterable]) -> tuple[tuple, list[tuple]]:
+def _shaped(labels: Iterable[str], matrix: Sequence[Sequence]) -> tuple[tuple, list[tuple]]:
     # The shape rule of every matrix, checked before any entry is coerced:
     # distinct nonempty labels that encode as UTF-8, and n rows of n entries
-    # each. Returns the labels and the rows as tuples, entries untouched. A
-    # string is a sequence too, but never a matrix or a row of one.
+    # each, the matrix and each row a list or a tuple (so never a string or
+    # a buffer). Returns the labels and the rows as tuples, entries untouched.
     labels = tuple(labels)
     for lab in labels:
         if not isinstance(lab, str) or not lab:
@@ -84,11 +84,11 @@ def _shaped(labels: Iterable[str], matrix: Iterable[Iterable]) -> tuple[tuple, l
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels")
     n = len(labels)
-    if isinstance(matrix, (str, bytes)):
+    if not isinstance(matrix, (list, tuple)):
         raise ValueError(f"matrix must be a sequence of rows, got {matrix!r}")
     rows = []
     for i, row in enumerate(matrix):
-        if isinstance(row, (str, bytes)):
+        if not isinstance(row, (list, tuple)):
             raise ValueError(f"matrix row {i} must be a sequence of entries, got {row!r}")
         rows.append(tuple(row))
     if len(rows) != n:

@@ -87,7 +87,6 @@ def parse_document(text: str) -> Space:
     points = data["points"]
     if not isinstance(points, list):
         raise DocumentError('"points" must be an array', "points")
-    labels: list[str] = []
     seen: set[str] = set()
     for i, lab in enumerate(points):
         if not isinstance(lab, str) or not lab:
@@ -97,17 +96,16 @@ def parse_document(text: str) -> Space:
         if lab in seen:
             raise DocumentError(f"duplicate label {lab!r}", f"points[{i}]")
         seen.add(lab)
-        labels.append(lab)
+    labels = tuple(points)
 
     d = data["d"]
     if not isinstance(d, list):
         raise DocumentError('"d" must be an array of arrays', "d")
     if len(d) != len(labels):
         raise DocumentError(f'"d" has {len(d)} rows, expected {len(labels)}', "d")
-    rows: list[tuple[Fraction, ...]] = []
-    # Each distinct literal is parsed once. Only successful parses are kept,
-    # so a bad literal still fails at its first position; only strings
-    # parse, so an unhashable entry never reaches the memo.
+    # Each distinct literal is parsed once into the memo, and the matrix is read
+    # from it. Only successful parses are kept, so a bad literal still fails at
+    # its first position; only strings parse, so no unhashable entry is a key.
     memo: dict[str, Fraction] = {}
     for i, row in enumerate(d):
         if not isinstance(row, list):
@@ -116,14 +114,10 @@ def parse_document(text: str) -> Space:
             raise DocumentError(
                 f"row has {len(row)} entries, expected {len(labels)}", f"d[{i}]"
             )
-        entries = []
         for j, v in enumerate(row):
-            x = memo.get(v) if type(v) is str else None
-            if x is None:
-                x = memo[v] = parse_dist_literal(v, f"d[{i}][{j}]")
-            entries.append(x)
-        rows.append(tuple(entries))
-    return Space(tuple(labels), tuple(rows))
+            if type(v) is not str or v not in memo:
+                memo[v] = parse_dist_literal(v, f"d[{i}][{j}]")
+    return Space(labels, tuple(tuple(map(memo.__getitem__, row)) for row in d))
 
 
 def document_payload(space: Space) -> dict:
@@ -136,19 +130,9 @@ def document_payload(space: Space) -> dict:
 
 def render_document(payload: dict) -> str:
     """Render a :func:`document_payload` in canonical document form."""
-    out = ["{"]
-    out.append(f'  "points": {json.dumps(payload["points"])},')
-    rows = payload["d"]
-    if not rows:
-        out.append('  "d": []')
-    else:
-        out.append('  "d": [')
-        for i, row in enumerate(rows):
-            comma = "," if i + 1 < len(rows) else ""
-            out.append(f"    {json.dumps(row)}{comma}")
-        out.append("  ]")
-    out.append("}")
-    return "\n".join(out) + "\n"
+    rows = ",\n".join(f"    {json.dumps(row)}" for row in payload["d"])
+    d = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{{\n  "points": {json.dumps(payload["points"])},\n  "d": {d}\n}}\n'
 
 
 def emit_document(space: Space) -> str:

@@ -187,6 +187,37 @@ class TestValidate:
             validate_pseudometric(labels, matrix)
         assert str(from_validate.value) == str(from_space.value) == message
 
+    @pytest.mark.parametrize(
+        "labels, matrix, prefix",
+        [
+            (
+                ("a", "b"),
+                (bytearray(b"\x00\x01"), bytearray(b"\x01\x00")),
+                "matrix row 0 must be a sequence of entries, got bytearray(",
+            ),
+            (
+                ("a", "b"),
+                [[0, 1], memoryview(b"\x01\x00")],
+                "matrix row 1 must be a sequence of entries, got <memory at ",
+            ),
+            (("a",), [5], "matrix row 0 must be a sequence of entries, got 5"),
+            (("a",), None, "matrix must be a sequence of rows, got None"),
+            (("a",), iter([[0]]), "matrix must be a sequence of rows, got <list_iterator "),
+        ],
+        ids=["bytearray-rows", "memoryview-row", "int-row", "none-matrix", "iterator-matrix"],
+    )
+    def test_matrix_and_rows_are_lists_or_tuples(self, labels, matrix, prefix):
+        # A buffer is a sequence of byte values, and anything else is not a
+        # matrix or a row at all: both entry points refuse it with the same
+        # ValueError, instead of reading bytes as distances or raising a
+        # bare TypeError.
+        with pytest.raises(ValueError) as from_space:
+            Space(labels, matrix)
+        with pytest.raises(ValueError) as from_validate:
+            validate_pseudometric(labels, matrix)
+        assert str(from_validate.value) == str(from_space.value)
+        assert str(from_space.value).startswith(prefix)
+
     def test_whole_report_on_every_small_matrix(self):
         # Every 2-point matrix over {-1, 0, 1/2, 1, 2} and every 3-point
         # matrix over {0, 1, 2} with a zero diagonal, asymmetric ones

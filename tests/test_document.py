@@ -53,6 +53,13 @@ def test_empty_space_document():
     assert emit_document(parse_document(text)) == text
 
 
+def test_tiny_documents_are_pinned_byte_for_byte():
+    assert emit_document(Space((), ())) == '{\n  "points": [],\n  "d": []\n}\n'
+    assert emit_document(Space(("a",), ((0,),))) == (
+        '{\n  "points": ["a"],\n  "d": [\n    ["0"]\n  ]\n}\n'
+    )
+
+
 def test_axiom_violations_survive_parsing():
     # parsing is structural; validation is a separate step
     space = parse_document('{"points": ["a", "b"], "d": [["0", "3"], ["2", "0"]]}')
@@ -87,6 +94,11 @@ def test_axiom_violations_survive_parsing():
         ('{"points": ["a", "b"], "d": [["0", "1"], ["1", "01"]]}', "d[1][1]"),
         ('{"points": ["a"], "d": [["0"]], "d": [["1"]]}', "$: repeated members: ['d']"),
         ('{"points": ["a"], "points": ["b"], "d": [["0"]]}', "$: repeated members: ['points']"),
+        # Two broken rows: errors come in row-major order, each row's shape
+        # before its own entries.
+        ('{"points": ["a", "b"], "d": [["0", "x"], ["1"]]}', "d[0][1]: invalid distance literal"),
+        ('{"points": ["a", "b"], "d": [["0", "1"], ["x"]]}', "d[1]: row has 1 entries"),
+        ('{"points": ["a", "b"], "d": [["0", 5], "zz"]}', "d[0][1]: expected a distance string"),
     ],
 )
 def test_malformed_documents_report_positions(text, fragment):
