@@ -217,8 +217,8 @@ def _cmd_fuzz(args) -> Result:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    # Built once per process. Each subcommand keeps its handler's name, not
-    # the function, and ``main`` looks it up here at call time, so a rebound
+    # Built once per process. The parser keeps no handler: ``main`` finds
+    # ``_cmd_<name>`` from the command's name at call time, so a rebound
     # ``_cmd_*`` is still the one that runs.
     parser = argparse.ArgumentParser(
         prog="pseudometric",
@@ -226,57 +226,51 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, help_text, *files):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func.__name__)
         p.add_argument(
             "--format", choices=("plain", "structured"), default="plain",
             help="plain text or machine-readable JSON output",
         )
+        for file in files:
+            p.add_argument(file)
         return p
 
-    p = add("validate", _cmd_validate, "check the pseudometric axioms of a space document")
-    p.add_argument("file")
+    add("validate", "check the pseudometric axioms of a space document", "file")
+    add("reflect", "emit the metric reflection and the projection table", "file")
 
-    p = add("reflect", _cmd_reflect, "emit the metric reflection and the projection table")
-    p.add_argument("file")
-
-    p = add("topology", _cmd_topology, "closure/interior/boundary and open/closed predicates")
-    p.add_argument("file")
+    p = add("topology", "closure/interior/boundary and open/closed predicates", "file")
     p.add_argument("--set", required=True, help="comma-separated point labels (empty for the empty set)")
     p.add_argument("--op", choices=_TOPOLOGY_OPS, help="single operation (default: all)")
 
-    p = add("isometric", _cmd_isometric, "search for an isometry between two metric spaces")
-    p.add_argument("file1")
-    p.add_argument("file2")
+    add("isometric", "search for an isometry between two metric spaces", "file1", "file2")
 
-    p = add("pseudoisometric", _cmd_pseudoisometric, "search for a pseudoisometry between two spaces")
-    p.add_argument("file1")
-    p.add_argument("file2")
+    p = add("pseudoisometric", "search for a pseudoisometry between two spaces", "file1", "file2")
     p.add_argument(
         "--oracle", action="store_true",
         help="use exhaustive map enumeration instead of the reflection-based search",
     )
 
-    p = add("cec", _cmd_cec, "check membership of a superspace in the positive-distance class")
-    p.add_argument("subfile")
-    p.add_argument("superfile")
+    p = add(
+        "cec", "check membership of a superspace in the positive-distance class",
+        "subfile", "superfile",
+    )
     p.add_argument("--embedding", help="comma-separated label pairs sub=super (default: match labels)")
 
-    p = add("glue-zero", _cmd_glue_zero, "extend a space by a zero-distance twin of a point")
-    p.add_argument("file")
+    p = add("glue-zero", "extend a space by a zero-distance twin of a point", "file")
     p.add_argument("--center", required=True, help="label of the point to twin")
     p.add_argument("--label", required=True, help="label for the new point")
 
-    p = add("complete-glue", _cmd_complete_glue, "glue a metric superspace of the reflection onto a space")
-    p.add_argument("yfile")
-    p.add_argument("ystarfile")
+    p = add(
+        "complete-glue", "glue a metric superspace of the reflection onto a space",
+        "yfile", "ystarfile",
+    )
     p.add_argument(
         "--embedding",
         help="comma-separated label pairs quotient=ystar (default: match labels)",
     )
 
-    p = add("fuzz", _cmd_fuzz, "run the randomized invariant suites")
+    p = add("fuzz", "run the randomized invariant suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
@@ -292,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        code, payload, lines = globals()[args.func](args)
+        code, payload, lines = globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (ResourceLimitError, MemoryError) as e:
         print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 3

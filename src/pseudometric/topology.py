@@ -117,9 +117,9 @@ def complete_via_boundary(space: Space, A: Iterable[int]) -> bool:
     """Boundary criterion for completeness of a subset.
 
     True iff every boundary point's zero-distance class meets ``A``. In a
-    finite space every subset is complete, so this must come out true for
-    every valid input; the predicate exists so the criterion itself is
-    executable and falsifiable.
+    finite space every subset is complete, and the boundary is by its own
+    definition a union of classes that meet ``A``, so this is true on every
+    valid input: a check of it tests :func:`boundary`, not the criterion.
     """
     members = members_of(space, A)
     edge = boundary(space, members)

@@ -435,6 +435,10 @@ LABEL_ERRORS = {
     "topology pair.json --set zz": "error: --set: no point labeled 'zz'\n",
     "glue-zero pair.json --center zz --label y": "error: --center: no point labeled 'zz'\n",
     "cec pair.json uvw.json --embedding a=zz,b=v": "error: --embedding: no point labeled 'zz'\n",
+    # Only the first '=' splits an entry.
+    "cec pair.json uvw.json --embedding a=u=v,b=w": (
+        "error: --embedding: no point labeled 'u=v'\n"
+    ),
     "complete-glue pair.json uvw.json --embedding a=zz,b=v": (
         "error: --embedding: no point labeled 'zz'\n"
     ),
@@ -516,6 +520,72 @@ def test_closed_stdout_ends_quietly_with_the_command_code(tmp_path):
 
 def test_usage_error_exits_two():
     assert main(["no-such-command"]) == 2
+
+
+# What each handler reads from its parsed arguments, defaults included.
+PARSED = {
+    "validate v.json": {"file": "v.json"},
+    "reflect r.json": {"file": "r.json"},
+    "topology t.json --set a,b": {"file": "t.json", "set": "a,b", "op": None},
+    "isometric x.json y.json": {"file1": "x.json", "file2": "y.json"},
+    "pseudoisometric x.json y.json": {"file1": "x.json", "file2": "y.json", "oracle": False},
+    "cec sub.json sup.json": {"subfile": "sub.json", "superfile": "sup.json", "embedding": None},
+    "glue-zero g.json --center a --label t": {"file": "g.json", "center": "a", "label": "t"},
+    "complete-glue y.json ystar.json": {
+        "yfile": "y.json", "ystarfile": "ystar.json", "embedding": None
+    },
+    "fuzz": {"seed": 0, "count": 100, "max_n": 6, "suite": "all"},
+}
+
+
+@pytest.mark.parametrize("argv", list(PARSED))
+def test_each_command_runs_its_handler_with_its_arguments(argv, monkeypatch, capsys):
+    command = argv.split()[0]
+    calls = []
+
+    def recorder(args):
+        calls.append(args)
+        return 1, None, ["recorded"]
+
+    monkeypatch.setattr(cli, "_cmd_" + command.replace("-", "_"), recorder)
+    assert main(argv.split()) == 1
+    assert capsys.readouterr().out == "recorded\n"
+    (args,) = calls
+    expected = {"command": command, "format": "plain", **PARSED[argv]}
+    assert {name: getattr(args, name) for name in expected} == expected
+
+
+COMMAND_HELP = {
+    "validate": "check the pseudometric axioms of a space document",
+    "reflect": "emit the metric reflection and the projection table",
+    "topology": "closure/interior/boundary and open/closed predicates",
+    "isometric": "search for an isometry between two metric spaces",
+    "pseudoisometric": "search for a pseudoisometry between two spaces",
+    "cec": "check membership of a superspace in the positive-distance class",
+    "glue-zero": "extend a space by a zero-distance twin of a point",
+    "complete-glue": "glue a metric superspace of the reflection onto a space",
+    "fuzz": "run the randomized invariant suites",
+}
+
+
+def test_help_exits_zero_and_lists_every_command(capsys):
+    # Substrings only, with whitespace dropped: argparse wraps help lines,
+    # after hyphens too, and lays them out differently across Python versions.
+    assert main(["--help"]) == 0
+    out = "".join(capsys.readouterr().out.split())
+    assert "{" + ",".join(COMMAND_HELP) + "}" in out
+    for name, help_text in COMMAND_HELP.items():
+        assert name + "".join(help_text.split()) in out
+
+
+@pytest.mark.parametrize("argv", list(PARSED))
+def test_command_help_exits_zero(argv, capsys):
+    name = argv.split()[0]
+    assert main([name, "--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert out.startswith(f"usage: pseudometric {name} [-h] [--format {{plain,structured}}]")
+    files = [dest for dest, value in PARSED[argv].items() if str(value).endswith(".json")]
+    assert out.partition(" positional arguments:")[0].endswith(" ".join(files))
 
 
 def test_out_of_memory_exits_three(monkeypatch, capsys):
