@@ -20,9 +20,10 @@ The checkout is copied once to a temporary directory. Each mutant rewrites
 its one function there (the rest of the file keeps its bytes) and runs the
 test selection with ``pytest -x``. A mutant is killed when pytest fails,
 timed out when it runs past the per-mutant limit (three times the unmutated
-run, plus 10 s), and survives when the selection passes. Killed and timed-out counts and every survivor are
-printed; the exit status is 0 however many survive, and 2 if the selection
-fails before any mutation.
+run, plus 10 s), and survives when the selection passes. The limit is
+printed first; then the killed and timed-out counts, every survivor and the
+elapsed time of the whole run. The exit status is 0 however many survive,
+and 2 if the selection fails before any mutation.
 """
 
 from __future__ import annotations
@@ -186,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest selection")
     args = parser.parse_args(argv)
 
+    started = time.perf_counter()
     found = []
     for spec in args.targets:
         module, _, target = spec.partition(":")
@@ -200,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             print("the unmutated test selection fails; no mutant was run", file=sys.stderr)
             return 2
         limit = 3 * (time.perf_counter() - t0) + 10
-        print(f"{len(found)} mutants, tests {' '.join(args.tests)}, {limit:.0f} s per mutant")
+        print(f"{len(found)} mutants, tests {' '.join(args.tests)}, limit {limit:.0f} s per mutant")
         results: list[tuple[Mutant, str]] = []
         for m in found:
             path = workdir / PACKAGE / f"{m.module}.py"
@@ -223,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"survivors: {len(survivors)}")
     for m in survivors:
         print(f"  {m.module}.py:{m.line}  {m.target}  `{m.before}` -> `{m.after}`")
+    elapsed = round(time.perf_counter() - started)
+    print(f"elapsed: {elapsed // 60} min {elapsed % 60} s")
     return 0
 
 

@@ -72,9 +72,13 @@ def _is_utf8(label: str) -> bool:
 
 def _shaped(labels: Iterable[str], matrix: Sequence[Sequence]) -> tuple[tuple, list[tuple]]:
     # The shape rule of every matrix, checked before any entry is coerced:
-    # distinct nonempty labels that encode as UTF-8, and n rows of n entries
-    # each, the matrix and each row a list or a tuple (so never a string or
-    # a buffer). Returns the labels and the rows as tuples, entries untouched.
+    # distinct nonempty labels that encode as UTF-8, in an order of the
+    # caller's (so never a set, which iterates in hash order), and n rows of
+    # n entries each, the matrix and each row a list or a tuple (so never a
+    # string or a buffer). Returns the labels and the rows as tuples, entries
+    # untouched.
+    if isinstance(labels, (set, frozenset)):
+        raise ValueError(f"labels must be ordered, got a {type(labels).__name__}")
     labels = tuple(labels)
     for lab in labels:
         if not isinstance(lab, str) or not lab:

@@ -1,14 +1,16 @@
 """Randomized invariant suites over the whole library.
 
-Each suite draws reproducible random instances and checks the properties
-the library promises: the topology suite exercises the open/closed/saturated
+Each suite draws one random instance and checks on it the properties the
+library promises: the topology suite exercises the open/closed/saturated
 equivalences and the completeness criteria, the morphisms suite compares the
 reflection-based pseudoisometry search against exhaustive enumeration and
 validates every witness, and the constructions suite checks the two gluing
-constructions and the generators. A fixed seed yields a bit-identical
-summary on every run and platform. The first failing check is recorded from
-its named inputs, in the order the check gives them: each space as a
-canonical document, every other input as ``name=value`` in the detail line.
+constructions and the generators. ``run_fuzz`` repeats a suite ``count``
+times on the suite's own seeded generator, so a fixed seed yields a
+bit-identical summary on every run and platform. The first failing check is
+recorded from its named inputs, in the order the check gives them: each
+space as a canonical document, every other input as ``name=value`` in the
+detail line.
 """
 
 from __future__ import annotations
@@ -151,92 +153,91 @@ def _space(rng: random.Random, max_n: int) -> Space:
     )
 
 
-def _run_topology(rec: _Recorder, rng: random.Random, count: int, max_n: int) -> None:
-    for _ in range(count):
-        space = _space(rng, max_n)
-        n = space.n
-        rec.check("quotient_distances_well_defined", check_well_defined(space).ok, space=space)
-        subsets = _subsets_to_try(rng, n)
-        # The least open ball around each point, from the definition: its
-        # radius is the least positive distance (any radius if there is none).
-        balls = [
-            open_ball(space, a, min((d for d in space.matrix[a] if d > 0), default=1))
-            for a in range(n)
-        ]
-        everything = frozenset(range(n))
-        all_closed = True
-        for A in subsets:
-            # Open and closed by definition, then the library's answers.
-            rest = everything - A
-            o = all(balls[a] <= A for a in A)
-            c = all(balls[a] <= rest for a in rest)
-            s = saturate(space, A) == A
-            rec.check(
-                "open_iff_closed_iff_saturated",
-                o == c == s == is_open(space, A) == is_closed(space, A),
-                A=sorted(A), open=o, closed=c, saturated=s, space=space,
-            )
-            rec.check(
-                "closure_equals_saturate",
-                closure(space, A)
-                == frozenset(x for x in range(n) if any(space.matrix[x][a] == 0 for a in A)),
+def _run_topology(check, rng: random.Random, max_n: int) -> None:
+    space = _space(rng, max_n)
+    n = space.n
+    check("quotient_distances_well_defined", check_well_defined(space).ok, space=space)
+    subsets = _subsets_to_try(rng, n)
+    # The least open ball around each point, from the definition: its
+    # radius is the least positive distance (any radius if there is none).
+    balls = [
+        open_ball(space, a, min((d for d in space.matrix[a] if d > 0), default=1))
+        for a in range(n)
+    ]
+    everything = frozenset(range(n))
+    all_closed = True
+    for A in subsets:
+        # Open and closed by definition, then the library's answers.
+        rest = everything - A
+        o = all(balls[a] <= A for a in A)
+        c = all(balls[a] <= rest for a in rest)
+        s = saturate(space, A) == A
+        check(
+            "open_iff_closed_iff_saturated",
+            o == c == s == is_open(space, A) == is_closed(space, A),
+            A=sorted(A), open=o, closed=c, saturated=s, space=space,
+        )
+        check(
+            "closure_equals_saturate",
+            closure(space, A)
+            == frozenset(x for x in range(n) if any(space.matrix[x][a] == 0 for a in A)),
+            A=sorted(A), space=space,
+        )
+        check(
+            "boundary_completeness_criterion",
+            complete_via_boundary(space, A),
+            A=sorted(A), space=space,
+        )
+        if A:
+            check(
+                "closedness_via_completeness_matches",
+                closed_via_completeness(space, A) == c,
                 A=sorted(A), space=space,
             )
-            rec.check(
-                "boundary_completeness_criterion",
-                complete_via_boundary(space, A),
-                A=sorted(A), space=space,
-            )
-            if A:
-                rec.check(
-                    "closedness_via_completeness_matches",
-                    closed_via_completeness(space, A) == c,
-                    A=sorted(A), space=space,
-                )
-            all_closed = all_closed and c
-        if n <= 5:
-            rec.check("metric_iff_all_subsets_closed", is_metric(space) == all_closed, space=space)
+        all_closed = all_closed and c
+    if n <= 5:
+        check("metric_iff_all_subsets_closed", is_metric(space) == all_closed, space=space)
 
-        refl = metric_reflection(space)
-        for _ in range(3):
-            prefix = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
-            if rng.randrange(2):
-                anchor = rng.randrange(n)
-                cls = sorted(class_of(space, anchor))
-                cycle = tuple(rng.choice(cls) for _ in range(rng.randint(1, 3)))
-            else:
-                cycle = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
-            seq = EPSequence(space, prefix, cycle)
-            # Cauchy by the definition: cycle points pairwise at distance 0.
-            cauchy = all(space.matrix[a][b] == 0 for a in cycle for b in cycle)
-            limits = limit_points(seq)
-            rec.check(
-                "cauchy_limits_are_a_zero_class",
-                is_cauchy(seq) == cauchy
-                and limits == (class_of(space, cycle[0]) if cauchy else frozenset()),
-                prefix=prefix, cycle=cycle, space=space,
-            )
-            rec.check(
-                "finite_spaces_are_complete", (not cauchy) or bool(limits), cycle=cycle, space=space
-            )
-            closed_set = saturate(space, _random_subset(rng, n) | set(cycle))
-            rec.check(
-                "closed_subsets_are_complete",
-                (not cauchy) or bool(limits & closed_set),
-                cycle=cycle, A=sorted(closed_set), space=space,
-            )
-            proj = refl.projection.images
-            qseq = EPSequence(
-                refl.quotient,
-                tuple(proj[i] for i in prefix),
-                tuple(proj[i] for i in cycle),
-            )
-            rec.check(
-                "reflection_preserves_cauchy_and_limits",
-                is_cauchy(qseq) == cauchy
-                and bool(limit_points(qseq)) == bool(limits),
-                cycle=cycle, space=space, quotient=refl.quotient,
-            )
+    refl = metric_reflection(space)
+    for _ in range(3):
+        prefix = tuple(rng.randrange(n) for _ in range(rng.randint(0, 2)))
+        if rng.randrange(2):
+            anchor = rng.randrange(n)
+            cls = sorted(class_of(space, anchor))
+            cycle = tuple(rng.choice(cls) for _ in range(rng.randint(1, 3)))
+        else:
+            cycle = tuple(rng.randrange(n) for _ in range(rng.randint(1, 3)))
+        seq = EPSequence(space, prefix, cycle)
+        # Cauchy by the definition: cycle points pairwise at distance 0.
+        cauchy = all(space.matrix[a][b] == 0 for a in cycle for b in cycle)
+        limits = limit_points(seq)
+        check(
+            "cauchy_limits_are_a_zero_class",
+            is_cauchy(seq) == cauchy
+            and limits == (class_of(space, cycle[0]) if cauchy else frozenset()),
+            prefix=prefix, cycle=cycle, space=space,
+        )
+        check(
+            "finite_spaces_are_complete", (not cauchy) or bool(limits), cycle=cycle, space=space
+        )
+        closed_set = saturate(space, _random_subset(rng, n) | set(cycle))
+        check(
+            "closed_subsets_are_complete",
+            (not cauchy) or bool(limits & closed_set),
+            cycle=cycle, A=sorted(closed_set), space=space,
+        )
+        proj = refl.projection.images
+        qseq = EPSequence(
+            refl.quotient,
+            tuple(proj[i] for i in prefix),
+            tuple(proj[i] for i in cycle),
+        )
+        check(
+            "reflection_preserves_cauchy_and_limits",
+            is_cauchy(qseq) == cauchy
+            and bool(limit_points(qseq)) == bool(limits),
+            cycle=cycle, space=space, quotient=refl.quotient,
+        )
 
 
 def _reverify_induced(phi: PointMap) -> bool:
@@ -251,139 +252,139 @@ def _reverify_induced(phi: PointMap) -> bool:
     return commutes and bijective and is_distance_preserving(induced)
 
 
-def _check_morphism_properties(rec: _Recorder, m: PointMap) -> None:
+def _check_morphism_properties(check, m: PointMap) -> None:
     injective = len(set(m.images)) == m.domain.n
     surjective = len(set(m.images)) == m.codomain.n
     x, y = m.domain, m.codomain
     if is_metric(x):
-        rec.check("metric_domain_implies_injective", injective, x=x, y=y)
+        check("metric_domain_implies_injective", injective, x=x, y=y)
     if is_metric(y):
-        rec.check("metric_codomain_implies_surjective", surjective, x=x, y=y)
+        check("metric_codomain_implies_surjective", surjective, x=x, y=y)
     if is_metric(x) and is_metric(y):
-        rec.check(
+        check(
             "metric_to_metric_is_isometry",
             injective and surjective and is_distance_preserving(m),
             x=x, y=y,
         )
 
 
-def _run_morphisms(rec: _Recorder, rng: random.Random, count: int, max_n: int) -> None:
+def _run_morphisms(check, rng: random.Random, max_n: int) -> None:
     size = min(4, max_n)
-    for _ in range(count):
-        x = _space(rng, size)
-        kind = rng.randrange(3)
-        if kind == 0:
-            y = _space(rng, size)
-        elif kind == 1:
-            quotient = metric_reflection(x).quotient
-            y = _with_clones(quotient, rng.randint(quotient.n, size), rng)
-        else:
-            y = _permuted_twin(x, rng)
+    x = _space(rng, size)
+    kind = rng.randrange(3)
+    if kind == 0:
+        y = _space(rng, size)
+    elif kind == 1:
+        quotient = metric_reflection(x).quotient
+        y = _with_clones(quotient, rng.randint(quotient.n, size), rng)
+    else:
+        y = _permuted_twin(x, rng)
 
-        witness = are_pseudoisometric(x, y)
-        oracle = brute_force_pseudoisometry(x, y)
-        rec.check(
-            "search_agrees_with_enumeration",
-            (witness is None) == (oracle is None),
-            search="found" if witness else "none",
-            enumeration="found" if oracle else "none",
+    witness = are_pseudoisometric(x, y)
+    oracle = brute_force_pseudoisometry(x, y)
+    check(
+        "search_agrees_with_enumeration",
+        (witness is None) == (oracle is None),
+        search="found" if witness else "none",
+        enumeration="found" if oracle else "none",
+        x=x, y=y,
+    )
+    back = are_pseudoisometric(y, x)
+    check("pseudoisometric_is_symmetric", (witness is None) == (back is None), x=x, y=y)
+    refl = metric_reflection(x)
+    for name, m in (
+        ("identity_is_pseudoisometry", PointMap.identity(x)),
+        ("projection_is_pseudoisometry", refl.projection),
+        ("section_is_pseudoisometry", refl.section),
+        ("composites_stay_pseudoisometries", compose(refl.projection, refl.section)),
+    ):
+        check(name, is_pseudoisometry(m).ok, x=x)
+    for m in (witness, oracle):
+        if m is None:
+            continue
+        check("witness_is_pseudoisometry", is_pseudoisometry(m).ok, x=x, y=y)
+        check("induced_reflection_map_is_isometry", _reverify_induced(m), x=x, y=y)
+        _check_morphism_properties(check, m)
+    if witness is not None and back is not None:
+        loop = compose(witness, back)
+        check("transitivity_composites_validate", is_pseudoisometry(loop).ok, x=x, y=y)
+    if witness is not None and len(set(witness.images)) == y.n == x.n:
+        check(
+            "bijective_witness_is_homeomorphism",
+            all(
+                is_open(x, A) == is_open(y, {witness.images[i] for i in A})
+                for A in _all_subsets(x.n)
+            ),
             x=x, y=y,
         )
-        back = are_pseudoisometric(y, x)
-        rec.check("pseudoisometric_is_symmetric", (witness is None) == (back is None), x=x, y=y)
-        refl = metric_reflection(x)
-        for name, m in (
-            ("identity_is_pseudoisometry", PointMap.identity(x)),
-            ("projection_is_pseudoisometry", refl.projection),
-            ("section_is_pseudoisometry", refl.section),
-            ("composites_stay_pseudoisometries", compose(refl.projection, refl.section)),
-        ):
-            rec.check(name, is_pseudoisometry(m).ok, x=x)
-        for m in (witness, oracle):
-            if m is None:
-                continue
-            rec.check("witness_is_pseudoisometry", is_pseudoisometry(m).ok, x=x, y=y)
-            rec.check("induced_reflection_map_is_isometry", _reverify_induced(m), x=x, y=y)
-            _check_morphism_properties(rec, m)
-        if witness is not None and back is not None:
-            loop = compose(witness, back)
-            rec.check("transitivity_composites_validate", is_pseudoisometry(loop).ok, x=x, y=y)
-        if witness is not None and len(set(witness.images)) == y.n == x.n:
-            rec.check(
-                "bijective_witness_is_homeomorphism",
-                all(
-                    is_open(x, A) == is_open(y, {witness.images[i] for i in A})
-                    for A in _all_subsets(x.n)
-                ),
-                x=x, y=y,
-            )
 
 
-def _completion_glue_checked(rec: _Recorder, y: Space, extension: PointMap) -> PointMap:
+def _completion_glue_checked(check, y: Space, extension: PointMap) -> PointMap:
     completed = completion_glue(y, extension)
     z = completed.codomain
-    rec.check("completion_glue_validates", z.validate().ok, glued=z)
-    rec.check("completion_glue_is_superspace", is_superspace(completed), y=y)
+    check("completion_glue_validates", z.validate().ok, glued=z)
+    check("completion_glue_is_superspace", is_superspace(completed), y=y)
     return completed
 
 
-def _run_constructions(rec: _Recorder, rng: random.Random, count: int, max_n: int) -> None:
-    for _ in range(count):
-        y = _space(rng, max_n)
-        rec.check("random_space_validates", y.validate().ok, y=y)
+def _run_constructions(check, rng: random.Random, max_n: int) -> None:
+    y = _space(rng, max_n)
+    check("random_space_validates", y.validate().ok, y=y)
 
-        glued = glue_zero_point(y, rng.randrange(y.n), "twin")
-        z = glued.codomain
-        rec.check("zero_glue_validates", z.validate().ok, superspace=z)
-        rec.check("zero_glue_is_superspace", is_superspace(glued), y=y)
-        rec.check(
-            "zero_glue_leaves_set_unclosed",
-            not is_closed(z, frozenset(glued.images)),
-            superspace=z,
-        )
-        rec.check("zero_glue_never_in_cec", not in_cec(glued), superspace=z)
-        rec.check("cec_minimality_on_zero_glue", check_cec_minimality(glued), superspace=z)
+    glued = glue_zero_point(y, rng.randrange(y.n), "twin")
+    z = glued.codomain
+    check("zero_glue_validates", z.validate().ok, superspace=z)
+    check("zero_glue_is_superspace", is_superspace(glued), y=y)
+    check(
+        "zero_glue_leaves_set_unclosed",
+        not is_closed(z, frozenset(glued.images)),
+        superspace=z,
+    )
+    check("zero_glue_never_in_cec", not in_cec(glued), superspace=z)
+    check("cec_minimality_on_zero_glue", check_cec_minimality(glued), superspace=z)
 
-        refl = metric_reflection(y)
-        extension = random_superspace(
-            refl.quotient,
-            GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 2)),
-            force_cec=True,
-        )
-        ystar = extension.codomain
-        rec.check("reflection_extension_is_metric", is_metric(ystar), ystar=ystar)
-        completed = _completion_glue_checked(rec, y, extension)
-        z = completed.codomain
-        rec.check("completion_glue_in_cec", in_cec(completed), glued=z)
-        rec.check(
-            "completion_glue_leaves_set_closed", is_closed(z, frozenset(completed.images)), glued=z
-        )
-        identity_glue = _completion_glue_checked(rec, y, PointMap.identity(refl.quotient))
-        rec.check(
-            "completion_glue_identity_reproduces_space",
-            identity_glue.codomain == y,
-            y=y, glued=identity_glue.codomain,
-        )
+    refl = metric_reflection(y)
+    extension = random_superspace(
+        refl.quotient,
+        GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 2)),
+        force_cec=True,
+    )
+    ystar = extension.codomain
+    check("reflection_extension_is_metric", is_metric(ystar), ystar=ystar)
+    completed = _completion_glue_checked(check, y, extension)
+    z = completed.codomain
+    check("completion_glue_in_cec", in_cec(completed), glued=z)
+    check(
+        "completion_glue_leaves_set_closed", is_closed(z, frozenset(completed.images)), glued=z
+    )
+    identity_glue = _completion_glue_checked(check, y, PointMap.identity(refl.quotient))
+    check(
+        "completion_glue_identity_reproduces_space",
+        identity_glue.codomain == y,
+        y=y, glued=identity_glue.codomain,
+    )
 
-        extra = random_superspace(
-            y,
-            GenParams(
-                seed=rng.getrandbits(63),
-                n=rng.randint(0, 3),
-                zero_merge_prob=Fraction(1, 2),
-            ),
-            force_cec=bool(rng.randrange(2)),
-        )
-        z = extra.codomain
-        rec.check("random_superspace_embeds", is_superspace(extra), y=y, superspace=z)
-        rec.check("random_superspace_validates", z.validate().ok, superspace=z)
-        rec.check("cec_minimality_on_random_superspace", check_cec_minimality(extra), superspace=z)
-        forced = random_superspace(
-            y, GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 3)), force_cec=True
-        )
-        rec.check("forced_superspace_in_cec", in_cec(forced), superspace=forced.codomain)
+    extra = random_superspace(
+        y,
+        GenParams(
+            seed=rng.getrandbits(63),
+            n=rng.randint(0, 3),
+            zero_merge_prob=Fraction(1, 2),
+        ),
+        force_cec=bool(rng.randrange(2)),
+    )
+    z = extra.codomain
+    check("random_superspace_embeds", is_superspace(extra), y=y, superspace=z)
+    check("random_superspace_validates", z.validate().ok, superspace=z)
+    check("cec_minimality_on_random_superspace", check_cec_minimality(extra), superspace=z)
+    forced = random_superspace(
+        y, GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 3)), force_cec=True
+    )
+    check("forced_superspace_in_cec", in_cec(forced), superspace=forced.codomain)
 
 
+# Each runner draws one instance from ``rng`` and reports every property
+# through ``check(name, ok, **inputs)``; run_fuzz owns the loop.
 _RUNNERS = {
     "topology": _run_topology,
     "morphisms": _run_morphisms,
@@ -408,13 +409,14 @@ def run_fuzz(
         if least is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     report = FuzzReport(seed=seed, count=count, max_n=max_n)
-    for name in SUITES:
+    for index, name in enumerate(SUITES):
         if name not in suites:
             continue
         rec = _Recorder(name)
-        rng = random.Random(seed * 1_000_003 + SUITES.index(name))
+        rng = random.Random(seed * 1_000_003 + index)
         try:
-            _RUNNERS[name](rec, rng, count, max_n)
+            for _ in range(count):
+                _RUNNERS[name](rec.check, rng, max_n)
         except CheckFailure as failure:
             report.failure = failure
         report.suites[name] = rec.checks

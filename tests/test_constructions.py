@@ -96,7 +96,7 @@ class TestGlueZeroPoint:
         assert not in_cec(e)
 
     def test_empty_space_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires a nonempty space"):
             glue_zero_point(Space((), ()), 0, "y0")
 
     def test_label_collision_rejected(self):

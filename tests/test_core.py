@@ -203,14 +203,24 @@ class TestValidate:
             (("a",), [5], "matrix row 0 must be a sequence of entries, got 5"),
             (("a",), None, "matrix must be a sequence of rows, got None"),
             (("a",), iter([[0]]), "matrix must be a sequence of rows, got <list_iterator "),
+            (
+                {"a", "b", "c"},
+                ((0, 1, 2), (1, 0, 1), (2, 1, 0)),
+                "labels must be ordered, got a set",
+            ),
+            (frozenset("ab"), [[0, 1], [1, 0]], "labels must be ordered, got a frozenset"),
         ],
-        ids=["bytearray-rows", "memoryview-row", "int-row", "none-matrix", "iterator-matrix"],
+        ids=[
+            "bytearray-rows", "memoryview-row", "int-row", "none-matrix", "iterator-matrix",
+            "set-labels", "frozenset-labels",
+        ],
     )
     def test_matrix_and_rows_are_lists_or_tuples(self, labels, matrix, prefix):
         # A buffer is a sequence of byte values, and anything else is not a
-        # matrix or a row at all: both entry points refuse it with the same
-        # ValueError, instead of reading bytes as distances or raising a
-        # bare TypeError.
+        # matrix or a row at all; a set of labels has no order but its hash
+        # order. Both entry points refuse each with the same ValueError,
+        # instead of reading bytes as distances, raising a bare TypeError or
+        # building a different space under another hash seed.
         with pytest.raises(ValueError) as from_space:
             Space(labels, matrix)
         with pytest.raises(ValueError) as from_validate:

@@ -66,6 +66,19 @@ def test_suite_selection():
     assert set(report.suites) == {"morphisms"}
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_each_suite_alone_draws_as_in_the_full_run(seed):
+    # A suite's generator is seeded from its place in SUITES, not in the
+    # selection, so `fuzz --suite X` checks the spaces of the full run.
+    full = run_fuzz(seed, 20, 6)
+    lines = full.summary().splitlines()
+    for name in SUITES:
+        alone = run_fuzz(seed, 20, 6, suites=(name,))
+        assert alone.suites == {name: full.suites[name]}
+        line = alone.summary().splitlines()[1]
+        assert line.startswith(f"{name}: ") and line in lines
+
+
 def test_failure_summary_renders_document_bundle():
     space = random_space(GenParams(seed=1, n=2))
     report = FuzzReport(seed=9, count=5, max_n=4, suites={"topology": 17})
@@ -246,6 +259,12 @@ def test_oracle_cap_maps_to_exit_code_three(tmp_path):
 def test_meaningless_size_rejected(count, max_n, message):
     with pytest.raises(ValueError, match=message):
         run_fuzz(seed=0, count=count, max_n=max_n)
+
+
+def test_least_sizes_run():
+    # The bounds of the size checks are accepted: no instance, or one-point spaces.
+    assert run_fuzz(0, 0, 6).suites == dict.fromkeys(SUITES, 0)
+    assert run_fuzz(0, 3, 1).ok
 
 
 @pytest.mark.parametrize(

@@ -161,8 +161,13 @@ class TestInducedReflectionMap:
         assert is_distance_preserving(induced)
 
     def test_rejects_non_pseudoisometry(self):
-        with pytest.raises(ValueError):
-            induced_reflection_map(PointMap(PAIR1, SINGLETON, (0, 0)))
+        # The message names the first violation; the second map has two
+        # (a shrunk distance, then an unreached class).
+        message = "map is not a pseudoisometry: distance_mismatch at (0,1): 1, 0"
+        for target in (SINGLETON, PAIR1):
+            with pytest.raises(ValueError) as info:
+                induced_reflection_map(PointMap(PAIR1, target, (0, 0)))
+            assert str(info.value) == message
 
 
 class TestFindIsometry:
@@ -440,8 +445,10 @@ class TestArePseudoisometric:
         assert calls == [x, y]
 
     def test_empty_space_rejected(self):
-        with pytest.raises(ValueError):
-            are_pseudoisometric(Space((), ()), PAIR1)
+        # On either side, refused before the reflection (which has its own message).
+        for x, y in ((Space((), ()), PAIR1), (PAIR1, Space((), ()))):
+            with pytest.raises(ValueError, match="defined for nonempty spaces only"):
+                are_pseudoisometric(x, y)
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(77)
