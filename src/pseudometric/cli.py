@@ -58,12 +58,6 @@ def _point(space: Space, label: str, source: str) -> int:
         raise DocumentError(str(e), source) from None
 
 
-def _parse_labels(space: Space, text: str) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    return frozenset(_point(space, lab.strip(), "--set") for lab in text.split(","))
-
-
 def _parse_embedding(sub: Space, sup: Space, text: str | None, sup_path: str) -> PointMap:
     if text is None:
         return PointMap(sub, sup, tuple(_point(sup, lab, sup_path) for lab in sub.labels))
@@ -134,20 +128,22 @@ _TOPOLOGY_OPS = ("closure", "interior", "boundary", "is-open", "is-closed")
 
 def _cmd_topology(args) -> Result:
     (space,) = _load_valid(args.file)
-    members = _parse_labels(space, args.set)
-    ops = [args.op] if args.op else _TOPOLOGY_OPS
-    results = {op: globals()[op.replace("-", "_")](space, members) for op in ops}
+    members = frozenset()
+    if args.set:  # the empty string names the empty set
+        members = frozenset(_point(space, lab.strip(), "--set") for lab in args.set.split(","))
     payload: dict[str, object] = {}
     lines = []
-    for op, val in results.items():
+    for op in [args.op] if args.op else _TOPOLOGY_OPS:
+        val = globals()[op.replace("-", "_")](space, members)
         if isinstance(val, frozenset):
-            payload[op] = sorted(space.labels[i] for i in val)
-            text = "{" + ", ".join(space.labels[i] for i in sorted(val)) + "}"
+            labels = [space.labels[i] for i in sorted(val)]
+            payload[op] = sorted(labels)
+            text = "{" + ", ".join(labels) + "}"
         else:
             payload[op] = val
             text = "true" if val else "false"
         lines.append(f"{op}: {text}")
-    return (1 if results.get(args.op) is False else 0), payload, lines
+    return (1 if payload.get(args.op) is False else 0), payload, lines
 
 
 def _witness(m: PointMap | None, **extra) -> Result:

@@ -70,16 +70,22 @@ def _is_utf8(label: str) -> bool:
     return True
 
 
+def _ordered(items: Iterable, what: str) -> tuple:
+    # The rule of every argument whose order means something (labels, map
+    # images, sequence prefixes and cycles): the caller's order, so never a
+    # set, which iterates in hash order, nor a dict, whose keys would be read.
+    if isinstance(items, (set, frozenset, dict)):
+        raise ValueError(f"{what} must be ordered, got a {type(items).__name__}")
+    return tuple(items)
+
+
 def _shaped(labels: Iterable[str], matrix: Sequence[Sequence]) -> tuple[tuple, list[tuple]]:
     # The shape rule of every matrix, checked before any entry is coerced:
     # distinct nonempty labels that encode as UTF-8, in an order of the
-    # caller's (so never a set, which iterates in hash order), and n rows of
-    # n entries each, the matrix and each row a list or a tuple (so never a
-    # string or a buffer). Returns the labels and the rows as tuples, entries
-    # untouched.
-    if isinstance(labels, (set, frozenset)):
-        raise ValueError(f"labels must be ordered, got a {type(labels).__name__}")
-    labels = tuple(labels)
+    # caller's, and n rows of n entries each, the matrix and each row a list
+    # or a tuple (so never a string or a buffer). Returns the labels and the
+    # rows as tuples, entries untouched.
+    labels = _ordered(labels, "labels")
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise ValueError(f"labels must be nonempty strings, got {lab!r}")
@@ -240,7 +246,7 @@ class PointMap:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(self.images)
+        images = _ordered(self.images, "images")
         if len(images) != self.domain.n:
             raise ValueError(f"map has {len(images)} images, expected {self.domain.n}")
         members_of(self.codomain, images)

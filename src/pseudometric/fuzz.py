@@ -99,22 +99,6 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-class _Recorder:
-    def __init__(self, suite: str):
-        self.suite = suite
-        self.checks = 0
-
-    def check(self, name: str, ok: bool, **inputs: object) -> None:
-        self.checks += 1
-        if not ok:
-            raise CheckFailure(
-                self.suite,
-                name,
-                " ".join(f"{k}={v}" for k, v in inputs.items() if not isinstance(v, Space)),
-                {k: emit_document(v) for k, v in inputs.items() if isinstance(v, Space)},
-            )
-
-
 def _random_subset(rng: random.Random, n: int) -> frozenset[int]:
     mask = rng.getrandbits(n)
     return frozenset(i for i in range(n) if mask >> i & 1)
@@ -240,34 +224,6 @@ def _run_topology(check, rng: random.Random, max_n: int) -> None:
         )
 
 
-def _reverify_induced(phi: PointMap) -> bool:
-    induced = induced_reflection_map(phi)
-    rx = metric_reflection(phi.domain)
-    ry = metric_reflection(phi.codomain)
-    commutes = all(
-        induced.images[rx.projection.images[i]] == ry.projection.images[phi.images[i]]
-        for i in range(phi.domain.n)
-    )
-    bijective = len(set(induced.images)) == ry.quotient.n == rx.quotient.n
-    return commutes and bijective and is_distance_preserving(induced)
-
-
-def _check_morphism_properties(check, m: PointMap) -> None:
-    injective = len(set(m.images)) == m.domain.n
-    surjective = len(set(m.images)) == m.codomain.n
-    x, y = m.domain, m.codomain
-    if is_metric(x):
-        check("metric_domain_implies_injective", injective, x=x, y=y)
-    if is_metric(y):
-        check("metric_codomain_implies_surjective", surjective, x=x, y=y)
-    if is_metric(x) and is_metric(y):
-        check(
-            "metric_to_metric_is_isometry",
-            injective and surjective and is_distance_preserving(m),
-            x=x, y=y,
-        )
-
-
 def _run_morphisms(check, rng: random.Random, max_n: int) -> None:
     size = min(4, max_n)
     x = _space(rng, size)
@@ -303,8 +259,30 @@ def _run_morphisms(check, rng: random.Random, max_n: int) -> None:
         if m is None:
             continue
         check("witness_is_pseudoisometry", is_pseudoisometry(m).ok, x=x, y=y)
-        check("induced_reflection_map_is_isometry", _reverify_induced(m), x=x, y=y)
-        _check_morphism_properties(check, m)
+        induced = induced_reflection_map(m)
+        ry = metric_reflection(y)
+        commutes = all(
+            induced.images[refl.projection.images[i]] == ry.projection.images[m.images[i]]
+            for i in range(x.n)
+        )
+        bijective = len(set(induced.images)) == ry.quotient.n == refl.quotient.n
+        check(
+            "induced_reflection_map_is_isometry",
+            commutes and bijective and is_distance_preserving(induced),
+            x=x, y=y,
+        )
+        injective = len(set(m.images)) == x.n
+        surjective = len(set(m.images)) == y.n
+        if is_metric(x):
+            check("metric_domain_implies_injective", injective, x=x, y=y)
+        if is_metric(y):
+            check("metric_codomain_implies_surjective", surjective, x=x, y=y)
+        if is_metric(x) and is_metric(y):
+            check(
+                "metric_to_metric_is_isometry",
+                injective and surjective and is_distance_preserving(m),
+                x=x, y=y,
+            )
     if witness is not None and back is not None:
         loop = compose(witness, back)
         check("transitivity_composites_validate", is_pseudoisometry(loop).ok, x=x, y=y)
@@ -409,17 +387,26 @@ def run_fuzz(
         if least is not None and value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
     report = FuzzReport(seed=seed, count=count, max_n=max_n)
-    for index, name in enumerate(SUITES):
-        if name not in suites:
+
+    def check(name: str, ok: bool, **inputs: object) -> None:
+        report.suites[suite] += 1
+        if not ok:
+            raise CheckFailure(
+                suite,
+                name,
+                " ".join(f"{k}={v}" for k, v in inputs.items() if not isinstance(v, Space)),
+                {k: emit_document(v) for k, v in inputs.items() if isinstance(v, Space)},
+            )
+
+    for index, suite in enumerate(SUITES):
+        if suite not in suites:
             continue
-        rec = _Recorder(name)
+        report.suites[suite] = 0
         rng = random.Random(seed * 1_000_003 + index)
         try:
             for _ in range(count):
-                _RUNNERS[name](rec.check, rng, max_n)
+                _RUNNERS[suite](check, rng, max_n)
         except CheckFailure as failure:
             report.failure = failure
-        report.suites[name] = rec.checks
-        if report.failure is not None:
             break
     return report

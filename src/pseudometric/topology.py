@@ -24,6 +24,7 @@ from typing import Iterable
 from .core import (
     DistLike,
     Space,
+    _ordered,
     as_dist,
     class_of,
     members_of,
@@ -41,7 +42,7 @@ class EPSequence:
     cycle: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        prefix, cycle = tuple(self.prefix), tuple(self.cycle)
+        prefix, cycle = _ordered(self.prefix, "prefix"), _ordered(self.cycle, "cycle")
         if not cycle:
             raise ValueError("cycle must be nonempty")
         members_of(self.space, prefix + cycle)

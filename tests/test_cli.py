@@ -76,6 +76,14 @@ EMPTY = """{
 }
 """
 
+ONE_POINT = """{
+  "points": ["a"],
+  "d": [
+    ["0"]
+  ]
+}
+"""
+
 
 @pytest.fixture
 def docs(tmp_path):
@@ -88,6 +96,7 @@ def docs(tmp_path):
         "unsorted": UNSORTED,
         "sup": PAIR_SUPERSPACE,
         "empty": EMPTY,
+        "one": ONE_POINT,
     }.items():
         path = tmp_path / f"{name}.json"
         path.write_text(text, encoding="utf-8")
@@ -748,6 +757,17 @@ PINNED = {
         "",
     ),
     "complete-glue classes.json pair.json --embedding a=a,c=b": _both(0, TWO_CLASS, ""),
+    # One point is the least nonempty space: every command that refuses the
+    # empty space accepts it.
+    "reflect one.json": (
+        (0, ONE_POINT + "\nprojection:\n  a -> a\n", ""),
+        (0, _json({"projection": {"a": "a"}, "quotient": {"d": [["0"]], "points": ["a"]}}), ""),
+    ),
+    "pseudoisometric one.json one.json": (
+        (0, "a -> a\n", ""),
+        (0, _json({"found": True, "map": {"a": "a"}}), ""),
+    ),
+    "complete-glue one.json one.json": _both(0, ONE_POINT, ""),
     "fuzz --seed 2 --count 3 --max-n 4 --suite topology": (
         (
             0,
@@ -771,6 +791,9 @@ PINNED = {
     ),
     "reflect empty.json": _both(
         2, "", "error: empty.json: metric reflection requires a nonempty space\n"
+    ),
+    "complete-glue empty.json pair.json": _both(
+        2, "", "error: empty.json: completion gluing requires a nonempty space\n"
     ),
     "cec broken.json broken.json": _both(
         2, "", "error: broken.json: not a pseudometric space (triangle at (b,a,c): 3, 1, 1)\n"

@@ -209,16 +209,17 @@ class TestValidate:
                 "labels must be ordered, got a set",
             ),
             (frozenset("ab"), [[0, 1], [1, 0]], "labels must be ordered, got a frozenset"),
+            ({"a": 1, "b": 0}, [[0, 1], [1, 0]], "labels must be ordered, got a dict"),
         ],
         ids=[
             "bytearray-rows", "memoryview-row", "int-row", "none-matrix", "iterator-matrix",
-            "set-labels", "frozenset-labels",
+            "set-labels", "frozenset-labels", "dict-labels",
         ],
     )
     def test_matrix_and_rows_are_lists_or_tuples(self, labels, matrix, prefix):
         # A buffer is a sequence of byte values, and anything else is not a
         # matrix or a row at all; a set of labels has no order but its hash
-        # order. Both entry points refuse each with the same ValueError,
+        # order, and a dict would give its keys. Both entry points refuse each with the same ValueError,
         # instead of reading bytes as distances, raising a bare TypeError or
         # building a different space under another hash seed.
         with pytest.raises(ValueError) as from_space:
@@ -327,6 +328,12 @@ class TestSpace:
             Space(("a", "b"), ((0, 1),))
         with pytest.raises(ValueError, match="map has 1 images, expected 4"):
             PointMap(TWO_CLASS, TWO_CLASS, (0,))
+        # Images are read in the caller's order: a set has none, and a dict
+        # would give its keys, so a reversal would read as the identity.
+        with pytest.raises(ValueError, match="^images must be ordered, got a set$"):
+            PointMap(TWO_CLASS, TWO_CLASS, {3, 2, 1, 0})
+        with pytest.raises(ValueError, match="^images must be ordered, got a dict$"):
+            PointMap(TWO_CLASS, TWO_CLASS, {0: 3, 1: 2, 2: 1, 3: 0})
 
     @pytest.mark.parametrize("label", ["\ud800", "a\udcff"], ids=["high", "escaped-byte"])
     def test_label_without_utf8_form_rejected(self, label):

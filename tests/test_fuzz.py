@@ -66,17 +66,52 @@ def test_suite_selection():
     assert set(report.suites) == {"morphisms"}
 
 
+# SHA-256 of the documents each suite draws in `run_fuzz(seed, 20, 6)`, concatenated.
+SUITE_DRAW_DIGESTS = {
+    0: {
+        "topology": "397377530aef0e9781e249b848296be7088f8d7df38e912a7533a9b6b3442294",
+        "morphisms": "162ab718877ef137a52e9019ad08fd3421bb67659cf622753cae07a6f9c2b1b4",
+        "constructions": "8e8cce13cdab3320390542561aa27f18e0e8be5e9c33aa0c0f5237b15efc2bb1",
+    },
+    1: {
+        "topology": "868bb7a6c4ecb3e5d89a70bc0041b19442abcc4920626d54fc17cca9f0dc5e2a",
+        "morphisms": "6ab89b304055d696200c0a0c1c7c36730684d1bff0a7c94ca0c9fe7c91f4dca2",
+        "constructions": "3ec62c0674b384559fc1faf1c1998eb46a0d2e5a1bc99c6f62da4fa27798c665",
+    },
+}
+
+
 @pytest.mark.parametrize("seed", [0, 1])
-def test_each_suite_alone_draws_as_in_the_full_run(seed):
+def test_each_suite_alone_draws_as_in_the_full_run(seed, monkeypatch):
     # A suite's generator is seeded from its place in SUITES, not in the
-    # selection, so `fuzz --suite X` checks the spaces of the full run.
+    # selection, so `fuzz --suite X` checks the spaces of the full run. The
+    # drawn spaces are compared and pinned too: the constructions suite makes
+    # the same number of checks on every instance, so its summary line
+    # cannot show that it drew from another seed.
+    draw = pseudometric.fuzz._space
+    draws = []  # (generator, document) per draw; holding each generator keeps its id unique
+
+    def recording(rng, max_n):
+        space = draw(rng, max_n)
+        draws.append((rng, emit_document(space)))
+        return space
+
+    monkeypatch.setattr(pseudometric.fuzz, "_space", recording)
     full = run_fuzz(seed, 20, 6)
     lines = full.summary().splitlines()
-    for name in SUITES:
+    by_generator = {}
+    for rng, doc in draws:
+        by_generator.setdefault(id(rng), []).append(doc)
+    assert len(by_generator) == len(SUITES)
+    for name, docs in zip(SUITES, by_generator.values()):
+        digest = hashlib.sha256("".join(docs).encode()).hexdigest()
+        assert digest == SUITE_DRAW_DIGESTS[seed][name]
+        draws.clear()
         alone = run_fuzz(seed, 20, 6, suites=(name,))
         assert alone.suites == {name: full.suites[name]}
         line = alone.summary().splitlines()[1]
         assert line.startswith(f"{name}: ") and line in lines
+        assert [doc for _, doc in draws] == docs
 
 
 def test_failure_summary_renders_document_bundle():

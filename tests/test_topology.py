@@ -168,6 +168,11 @@ class TestSequences:
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValueError):
             EPSequence(TWO_CLASS, (), ())
+        # Prefix and cycle are read in the caller's order, never a set's.
+        with pytest.raises(ValueError, match="^prefix must be ordered, got a set$"):
+            EPSequence(TWO_CLASS, {2, 0}, (1, 0))
+        with pytest.raises(ValueError, match="^cycle must be ordered, got a set$"):
+            EPSequence(TWO_CLASS, (2, 0), {1, 0})
 
     def test_closed_sets_contain_their_limits(self):
         rng = random.Random(17)
