@@ -60,7 +60,7 @@ class GenParams:
             raise TypeError("float zero_merge_prob is not allowed; pass int, str or Fraction")
         try:
             p = Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             p = None
         if p is None or isinstance(value, bool):
             raise ValueError(f"zero_merge_prob must be a rational number, got {value!r}")
@@ -180,11 +180,6 @@ def _draw_entry(rng: random.Random) -> int:
     return rng.randint(1, 6 * den) * (12 // den)
 
 
-def _bernoulli(rng: random.Random, p: Fraction) -> bool:
-    # Exact integer draw; no float comparison involved.
-    return rng.randrange(p.denominator) < p.numerator
-
-
 def _clone_points(n: int, total: int, rng: random.Random) -> list[int]:
     # Index list that grows n points to ``total``; each new point is a
     # zero-distance clone of a uniformly drawn earlier point (one randrange
@@ -254,9 +249,11 @@ def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> PointM
 
     anchors = []
     radii: list[Dist] = []
+    q = p.zero_merge_prob
     for _ in range(p.n):
         anchors.append(rng.randrange(y.n))
-        if not force_cec and _bernoulli(rng, p.zero_merge_prob):
+        # An exact integer draw with probability q; no float comparison involved.
+        if not force_cec and rng.randrange(q.denominator) < q.numerator:
             radii.append(Fraction(0))
         else:
             radii.append(Fraction(_draw_entry(rng), 12))

@@ -46,7 +46,7 @@ def as_dist(value: DistLike) -> Dist:
     else:
         try:
             d = Fraction(value)
-        except (TypeError, ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"distance is not a rational number: {value!r}") from None
     if d.numerator < 0:  # the denominator is always positive
         raise ValueError(f"distance must be non-negative, got {d}")
@@ -304,7 +304,7 @@ def _raw_rational(value: object, where: str) -> Fraction:
         raise ValueError(f"entry {where} is a bool; distances must be exact rationals")
     try:
         return Fraction(value)  # type: ignore[arg-type]
-    except (TypeError, ValueError, ZeroDivisionError):
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"entry {where} is not a rational number: {value!r}") from None
 
 

@@ -108,28 +108,6 @@ def _all_subsets(n: int) -> list[frozenset[int]]:
     return [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
 
 
-def _subsets_to_try(rng: random.Random, n: int) -> list[frozenset[int]]:
-    if n <= 5:
-        return _all_subsets(n)
-    seen = {frozenset(), frozenset(range(n))}
-    for _ in range(30):
-        seen.add(_random_subset(rng, n))
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
-
-
-def _with_clones(base: Space, total: int, rng: random.Random) -> Space:
-    """Pad a space with zero-distance clones of random points up to ``total``."""
-    labels = base.labels + tuple(f"c{i}" for i in range(base.n, total))
-    return _pullback(base, _clone_points(base.n, total, rng), labels)
-
-
-def _permuted_twin(space: Space, rng: random.Random) -> Space:
-    """A relabeled-and-reordered copy, isometric to ``space``."""
-    sigma = list(range(space.n))
-    rng.shuffle(sigma)
-    return _pullback(space, sigma, [f"t{i}" for i in range(space.n)])
-
-
 def _space(rng: random.Random, max_n: int) -> Space:
     n = rng.randint(1, max_n)
     return random_space(
@@ -141,7 +119,15 @@ def _run_topology(check, rng: random.Random, max_n: int) -> None:
     space = _space(rng, max_n)
     n = space.n
     check("quotient_distances_well_defined", check_well_defined(space).ok, space=space)
-    subsets = _subsets_to_try(rng, n)
+    # Up to five points every subset is tried, so metric_iff_all_subsets_closed
+    # below may read them all; beyond, the two trivial ones and 30 drawn ones.
+    exhaustive = n <= 5
+    if exhaustive:
+        subsets = _all_subsets(n)
+    else:
+        seen = {frozenset(), frozenset(range(n))}
+        seen.update(_random_subset(rng, n) for _ in range(30))
+        subsets = sorted(seen, key=lambda s: (len(s), sorted(s)))
     # The least open ball around each point, from the definition: its
     # radius is the least positive distance (any radius if there is none).
     balls = [
@@ -179,7 +165,7 @@ def _run_topology(check, rng: random.Random, max_n: int) -> None:
                 A=sorted(A), space=space,
             )
         all_closed = all_closed and c
-    if n <= 5:
+    if exhaustive:
         check("metric_iff_all_subsets_closed", is_metric(space) == all_closed, space=space)
 
     refl = metric_reflection(space)
@@ -231,10 +217,16 @@ def _run_morphisms(check, rng: random.Random, max_n: int) -> None:
     if kind == 0:
         y = _space(rng, size)
     elif kind == 1:
+        # The reflection padded with zero-distance clones: pseudoisometric to x.
         quotient = metric_reflection(x).quotient
-        y = _with_clones(quotient, rng.randint(quotient.n, size), rng)
+        total = rng.randint(quotient.n, size)
+        clones = [f"c{i}" for i in range(quotient.n, total)]
+        y = _pullback(quotient, _clone_points(quotient.n, total, rng), [*quotient.labels, *clones])
     else:
-        y = _permuted_twin(x, rng)
+        # A relabeled and reordered copy: isometric to x.
+        sigma = list(range(x.n))
+        rng.shuffle(sigma)
+        y = _pullback(x, sigma, [f"t{i}" for i in range(x.n)])
 
     witness = are_pseudoisometric(x, y)
     oracle = brute_force_pseudoisometry(x, y)

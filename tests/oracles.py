@@ -70,29 +70,6 @@ def zero_classes_by_definition(matrix):
     return tuple(sorted(classes, key=min))
 
 
-def scan_axioms(rows):
-    """Naive axiom scan over a raw matrix; returns witness lists per rule."""
-    n = len(rows)
-    out = {"negative": [], "diagonal": [], "symmetry": [], "triangle": []}
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] < 0:
-                out["negative"].append((i, j))
-    for i in range(n):
-        if rows[i][i] != 0:
-            out["diagonal"].append((i,))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                out["symmetry"].append((i, j))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[i][j] > rows[i][k] + rows[k][j]:
-                    out["triangle"].append((i, k, j))
-    return out
-
-
 def triangle_ok(rows):
     n = len(rows)
     for i in range(n):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -234,8 +235,8 @@ class TestRandomSpace:
 
     @pytest.mark.parametrize(
         "value",
-        ["abc", None, "1/0", [1], True, False],
-        ids=["word", "None", "zero-denominator", "list", "True", "False"],
+        ["abc", None, "1/0", [1], True, False, Decimal("Infinity"), Decimal("-Infinity")],
+        ids=["word", "None", "zero-denominator", "list", "True", "False", "inf", "minus-inf"],
     )
     def test_unreadable_probability_names_it(self, value):
         # Anything Fraction cannot read, and a bool, is refused by name.

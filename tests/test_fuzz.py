@@ -9,6 +9,7 @@ import pytest
 import pseudometric.fuzz
 from pseudometric import (
     GenParams,
+    Space,
     emit_document,
     is_metric,
     parse_document,
@@ -81,37 +82,78 @@ SUITE_DRAW_DIGESTS = {
 }
 
 
+# SHA-256 of the documents of every space each suite builds in
+# `run_fuzz(seed, 20, 6)`, in order: its draws, pullbacks, glued and
+# generated superspaces.
+SUITE_BUILD_DIGESTS = {
+    0: {
+        "topology": "397377530aef0e9781e249b848296be7088f8d7df38e912a7533a9b6b3442294",
+        "morphisms": "77485fec9efea1d1f73b18b6bc0d848969c13bc94f2f16b75fc5a9c6bc6269ab",
+        "constructions": "a7d0048f70ffe5b5aed030d5a9e31c890c0847bcc1d53ede7ff4d9a2656029f3",
+    },
+    1: {
+        "topology": "868bb7a6c4ecb3e5d89a70bc0041b19442abcc4920626d54fc17cca9f0dc5e2a",
+        "morphisms": "78899f060df26529645bf69cb44fc80a995f17a68a71c12e5bfa864f30729d34",
+        "constructions": "054f5c7f8a0feba54c6df25dd31b4bfbf26d1f4d7645cd84a39253872dc3c182",
+    },
+}
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_each_suite_alone_draws_as_in_the_full_run(seed, monkeypatch):
     # A suite's generator is seeded from its place in SUITES, not in the
     # selection, so `fuzz --suite X` checks the spaces of the full run. The
-    # drawn spaces are compared and pinned too: the constructions suite makes
-    # the same number of checks on every instance, so its summary line
-    # cannot show that it drew from another seed.
+    # drawn spaces, and every space a suite builds from them, are compared
+    # and pinned too: the constructions suite makes the same number of checks
+    # on every instance, so its summary line cannot show that it drew from
+    # another seed or built other superspaces.
     draw = pseudometric.fuzz._space
     draws = []  # (generator, document) per draw; holding each generator keeps its id unique
+    built = []  # (generator, document) per space built, draws included
 
     def recording(rng, max_n):
         space = draw(rng, max_n)
         draws.append((rng, emit_document(space)))
+        built.append(draws[-1])
         return space
 
+    def building(make):
+        def recording(*args, **kwargs):
+            result = make(*args, **kwargs)
+            space = result if isinstance(result, Space) else result.codomain
+            # Every suite draws before it builds, so the last draw names the suite.
+            built.append((draws[-1][0], emit_document(space)))
+            return result
+
+        return recording
+
     monkeypatch.setattr(pseudometric.fuzz, "_space", recording)
+    for name in ("_pullback", "random_superspace", "glue_zero_point", "completion_glue"):
+        monkeypatch.setattr(pseudometric.fuzz, name, building(getattr(pseudometric.fuzz, name)))
     full = run_fuzz(seed, 20, 6)
     lines = full.summary().splitlines()
-    by_generator = {}
-    for rng, doc in draws:
-        by_generator.setdefault(id(rng), []).append(doc)
-    assert len(by_generator) == len(SUITES)
-    for name, docs in zip(SUITES, by_generator.values()):
+
+    def by_generator(records):
+        groups = {}
+        for rng, doc in records:
+            groups.setdefault(id(rng), []).append(doc)
+        return list(groups.values())
+
+    drawn, made = by_generator(draws), by_generator(built)
+    assert len(drawn) == len(made) == len(SUITES)
+    for name, docs, spaces in zip(SUITES, drawn, made):
         digest = hashlib.sha256("".join(docs).encode()).hexdigest()
         assert digest == SUITE_DRAW_DIGESTS[seed][name]
+        digest = hashlib.sha256("".join(spaces).encode()).hexdigest()
+        assert digest == SUITE_BUILD_DIGESTS[seed][name]
         draws.clear()
+        built.clear()
         alone = run_fuzz(seed, 20, 6, suites=(name,))
         assert alone.suites == {name: full.suites[name]}
         line = alone.summary().splitlines()[1]
         assert line.startswith(f"{name}: ") and line in lines
         assert [doc for _, doc in draws] == docs
+        assert [doc for _, doc in built] == spaces
 
 
 def test_failure_summary_renders_document_bundle():
