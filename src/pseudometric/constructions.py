@@ -23,6 +23,8 @@ from .core import (
     Dist,
     PointMap,
     Space,
+    _fraction,
+    _int_arg,
     _pullback,
     is_metric,
     members_of,
@@ -40,7 +42,8 @@ class GenParams:
     superspace generation, where 0 is allowed). ``zero_merge_prob`` controls
     how often points are glued at distance 0: an exact rational in [0, 1],
     given as an int, str or ``Fraction``. A float raises ``TypeError``; a
-    bool, or anything else ``Fraction`` cannot read, raises ``ValueError``.
+    bool, exponent notation past the interpreter's digit limit, or anything
+    else ``Fraction`` cannot read, raises ``ValueError``.
     Same params, same output, bit for bit.
     """
 
@@ -49,17 +52,13 @@ class GenParams:
     zero_merge_prob: Fraction = Fraction(1, 4)
 
     def __post_init__(self) -> None:
-        for name in ("seed", "n"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.n < 0:
-            raise ValueError("n must be non-negative")
+        _int_arg("seed", self.seed)
+        _int_arg("n", self.n, 0)
         value = self.zero_merge_prob
         if isinstance(value, float):
             raise TypeError("float zero_merge_prob is not allowed; pass int, str or Fraction")
         try:
-            p = Fraction(value)
+            p = _fraction(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             p = None
         if p is None or isinstance(value, bool):

@@ -17,7 +17,9 @@ and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, compress, product
@@ -34,7 +36,8 @@ def as_dist(value: DistLike) -> Dist:
 
     Floats are rejected outright with ``TypeError``: binary rounding would
     make exact zero-distance tests meaningless. So are bools, which are
-    flags, not distances. Anything else that ``Fraction`` cannot read raises
+    flags, not distances. Anything else that ``Fraction`` cannot read, and
+    exponent notation past the interpreter's digit limit, raises
     ``ValueError``.
     """
     if type(value) is Fraction:
@@ -45,7 +48,7 @@ def as_dist(value: DistLike) -> Dist:
         raise TypeError("bool distances are not allowed; pass int, str or Fraction")
     else:
         try:
-            d = Fraction(value)
+            d = _fraction(value)
         except (TypeError, ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"distance is not a rational number: {value!r}") from None
     if d.numerator < 0:  # the denominator is always positive
@@ -55,9 +58,30 @@ def as_dist(value: DistLike) -> Dist:
 
 def format_dist(d: Dist) -> str:
     """Canonical text form of a distance: bare integer, else 'p/q' in lowest terms."""
-    if d.denominator == 1:
-        return str(d.numerator)
-    return f"{d.numerator}/{d.denominator}"
+    return str(d)
+
+
+def _fraction(value: object) -> Fraction:
+    # Fraction builds 10 ** exponent for exponent notation, whatever the
+    # exponent's size, so an exponent past the interpreter's digit limit
+    # (0: no limit), the bound a document literal obeys, is refused first.
+    exponent = 0
+    if isinstance(value, str) and "e" in value.lower():
+        exponent = int(value.lower().rpartition("e")[2])
+    elif isinstance(value, Decimal) and value.is_finite():
+        exponent = value.as_tuple().exponent
+    if 0 < sys.get_int_max_str_digits() < abs(exponent):
+        raise ValueError(f"exponent {exponent} is past the digit limit")
+    return Fraction(value)
+
+
+def _int_arg(name: str, value: object, least: int | None = None) -> None:
+    # The rule of every seed, size and count argument: an int that is not a
+    # bool, and at least ``least`` when one is given.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _is_utf8(label: str) -> bool:
@@ -303,7 +327,7 @@ def _raw_rational(value: object, where: str) -> Fraction:
     if isinstance(value, bool):
         raise ValueError(f"entry {where} is a bool; distances must be exact rationals")
     try:
-        return Fraction(value)  # type: ignore[arg-type]
+        return _fraction(value)
     except (TypeError, ValueError, ZeroDivisionError, OverflowError):
         raise ValueError(f"entry {where} is not a rational number: {value!r}") from None
 

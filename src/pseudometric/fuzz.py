@@ -30,7 +30,7 @@ from .constructions import (
     random_space,
     random_superspace,
 )
-from .core import PointMap, Space, _pullback, class_of, is_metric, saturate
+from .core import PointMap, Space, _int_arg, _pullback, class_of, is_metric, saturate
 from .document import emit_document
 from .morphisms import (
     are_pseudoisometric,
@@ -99,13 +99,12 @@ class FuzzReport:
         return "\n".join(lines)
 
 
-def _random_subset(rng: random.Random, n: int) -> frozenset[int]:
-    mask = rng.getrandbits(n)
+def _subset(mask: int, n: int) -> frozenset[int]:
     return frozenset(i for i in range(n) if mask >> i & 1)
 
 
 def _all_subsets(n: int) -> list[frozenset[int]]:
-    return [frozenset(i for i in range(n) if m >> i & 1) for m in range(1 << n)]
+    return [_subset(m, n) for m in range(1 << n)]
 
 
 def _space(rng: random.Random, max_n: int) -> Space:
@@ -126,7 +125,7 @@ def _run_topology(check, rng: random.Random, max_n: int) -> None:
         subsets = _all_subsets(n)
     else:
         seen = {frozenset(), frozenset(range(n))}
-        seen.update(_random_subset(rng, n) for _ in range(30))
+        seen.update(_subset(rng.getrandbits(n), n) for _ in range(30))
         subsets = sorted(seen, key=lambda s: (len(s), sorted(s)))
     # The least open ball around each point, from the definition: its
     # radius is the least positive distance (any radius if there is none).
@@ -190,7 +189,7 @@ def _run_topology(check, rng: random.Random, max_n: int) -> None:
         check(
             "finite_spaces_are_complete", (not cauchy) or bool(limits), cycle=cycle, space=space
         )
-        closed_set = saturate(space, _random_subset(rng, n) | set(cycle))
+        closed_set = saturate(space, _subset(rng.getrandbits(n), n) | set(cycle))
         check(
             "closed_subsets_are_complete",
             (not cauchy) or bool(limits & closed_set),
@@ -373,11 +372,9 @@ def run_fuzz(
     for name in suites:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
-    for name, value, least in (("seed", seed, None), ("count", count, 0), ("max_n", max_n, 1)):
-        if not isinstance(value, int) or isinstance(value, bool):  # the members_of rule
-            raise ValueError(f"{name} must be an int, got {value!r}")
-        if least is not None and value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+    _int_arg("seed", seed)
+    _int_arg("count", count, 0)
+    _int_arg("max_n", max_n, 1)
     report = FuzzReport(seed=seed, count=count, max_n=max_n)
 
     def check(name: str, ok: bool, **inputs: object) -> None:

@@ -215,7 +215,7 @@ class TestRandomSpace:
             assert random_space(p).validate().ok
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n must be at least 0, got -1"):
             GenParams(seed=0, n=-1)
         with pytest.raises(ValueError):
             GenParams(seed=0, n=1, zero_merge_prob=Fraction(3, 2))
@@ -235,11 +235,18 @@ class TestRandomSpace:
 
     @pytest.mark.parametrize(
         "value",
-        ["abc", None, "1/0", [1], True, False, Decimal("Infinity"), Decimal("-Infinity")],
-        ids=["word", "None", "zero-denominator", "list", "True", "False", "inf", "minus-inf"],
+        [
+            "abc", None, "1/0", [1], True, False, Decimal("Infinity"), Decimal("-Infinity"),
+            "1e-2000000", Decimal("1e-2000000"),
+        ],
+        ids=[
+            "word", "None", "zero-denominator", "list", "True", "False", "inf", "minus-inf",
+            "long-exponent", "long-decimal-exponent",
+        ],
     )
     def test_unreadable_probability_names_it(self, value):
-        # Anything Fraction cannot read, and a bool, is refused by name.
+        # Anything Fraction cannot read, exponent notation past the digit
+        # limit, and a bool, are refused by name.
         with pytest.raises(ValueError) as caught:
             GenParams(seed=1, n=4, zero_merge_prob=value)
         assert str(caught.value) == f"zero_merge_prob must be a rational number, got {value!r}"

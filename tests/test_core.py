@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -54,6 +55,20 @@ class TestDist:
         assert as_dist("3/6") == Fraction(1, 2)
         assert as_dist(4) == 4
         assert as_dist(Fraction(7, 3)) == Fraction(7, 3)
+        assert as_dist("1e3") == 1000
+        # Exponent notation reads up to the interpreter's digit limit (the
+        # least nonzero one is 640), and without bound when the limit is 0.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert as_dist("1E+640") == 10**640
+            assert as_dist(Decimal("1e-640")) == Fraction(1, 10**640)
+            with pytest.raises(ValueError, match="not a rational number"):
+                as_dist("1e641")
+            sys.set_int_max_str_digits(0)
+            assert as_dist("1e3") == 1000
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_fraction_is_built_once(self):
         half = Fraction(1, 2)
@@ -65,7 +80,11 @@ class TestDist:
             as_dist(-1)
         with pytest.raises(TypeError):
             as_dist(0.5)
-        for unreadable in ("1/0", None, "x", Decimal("Infinity"), Decimal("-Infinity")):
+        for unreadable in (
+            "1/0", None, "x", Decimal("Infinity"), Decimal("-Infinity"),
+            # Exponent notation past the interpreter's digit limit.
+            "1e1000000", "1e-1000000", Decimal("1e1000000"),
+        ):
             with pytest.raises(ValueError, match="not a rational number"):
                 as_dist(unreadable)
         with pytest.raises(ValueError, match="not a rational number"):
@@ -161,6 +180,8 @@ class TestValidate:
             validate_pseudometric("ab", [[0, 1], [1, None]])
         with pytest.raises(ValueError, match=r"entry \(0,1\) is not a rational"):
             validate_pseudometric("ab", [[0, Decimal("Infinity")], [1, 0]])
+        with pytest.raises(ValueError, match=r"entry \(1,0\) is not a rational"):
+            validate_pseudometric("ab", [[0, 1], ["1e1000000", 0]])
 
     def test_bool_entries_are_input_errors(self):
         for rows, message in [
