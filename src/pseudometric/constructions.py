@@ -30,7 +30,7 @@ from .core import (
     members_of,
 )
 from .morphisms import is_distance_preserving
-from .reflection import metric_reflection
+from .reflection import _reflection_tables
 from .topology import is_closed
 
 
@@ -42,8 +42,9 @@ class GenParams:
     superspace generation, where 0 is allowed). ``zero_merge_prob`` controls
     how often points are glued at distance 0: an exact rational in [0, 1],
     given as an int, str or ``Fraction``. A float raises ``TypeError``; a
-    bool, exponent notation past the interpreter's digit limit, or anything
-    else ``Fraction`` cannot read, raises ``ValueError``.
+    bool, an exponent or a ``Decimal`` coefficient past the interpreter's
+    digit limit, or anything else ``Fraction`` cannot read, raises
+    ``ValueError``.
     Same params, same output, bit for bit.
     """
 
@@ -142,8 +143,8 @@ def completion_glue(y: Space, refl_embedding: PointMap) -> PointMap:
     ystar = refl_embedding.codomain
     if not is_metric(ystar):
         raise ValueError("the glued superspace must be a metric space")
-    refl = metric_reflection(y)
-    if refl_embedding.domain != refl.quotient:
+    quotient, projection, _ = _reflection_tables(y)
+    if refl_embedding.domain != quotient:
         raise ValueError(
             "embedding must map the metric reflection of the space into the superspace"
         )
@@ -154,7 +155,7 @@ def completion_glue(y: Space, refl_embedding: PointMap) -> PointMap:
     new_points = [q for q in range(ystar.n) if q not in image]
 
     # Route every result point to its proxy in the glued metric space.
-    proxy = [refl_embedding.images[refl.projection.images[i]] for i in range(y.n)]
+    proxy = [refl_embedding.images[c] for c in projection]
     proxy += new_points
 
     labels = _extend_labels(y.labels, [ystar.labels[q] for q in new_points])

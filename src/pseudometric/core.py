@@ -37,8 +37,8 @@ def as_dist(value: DistLike) -> Dist:
     Floats are rejected outright with ``TypeError``: binary rounding would
     make exact zero-distance tests meaningless. So are bools, which are
     flags, not distances. Anything else that ``Fraction`` cannot read, and
-    exponent notation past the interpreter's digit limit, raises
-    ``ValueError``.
+    an exponent or a ``Decimal`` coefficient past the interpreter's digit
+    limit, raises ``ValueError``.
     """
     if type(value) is Fraction:
         d = value
@@ -63,15 +63,18 @@ def format_dist(d: Dist) -> str:
 
 def _fraction(value: object) -> Fraction:
     # Fraction builds 10 ** exponent for exponent notation, whatever the
-    # exponent's size, so an exponent past the interpreter's digit limit
-    # (0: no limit), the bound a document literal obeys, is refused first.
-    exponent = 0
+    # exponent's size, and reads a Decimal's coefficient in quadratic time,
+    # whatever its number of digits. So an exponent or a coefficient past
+    # the interpreter's digit limit (0: no limit), the bound a document
+    # literal obeys, is refused first.
+    exponent = digits = 0
     if isinstance(value, str) and "e" in value.lower():
         exponent = int(value.lower().rpartition("e")[2])
     elif isinstance(value, Decimal) and value.is_finite():
-        exponent = value.as_tuple().exponent
-    if 0 < sys.get_int_max_str_digits() < abs(exponent):
-        raise ValueError(f"exponent {exponent} is past the digit limit")
+        _, coefficient, exponent = value.as_tuple()
+        digits = len(coefficient)
+    if 0 < sys.get_int_max_str_digits() < max(abs(exponent), digits):
+        raise ValueError("past the interpreter's digit limit")
     return Fraction(value)
 
 
@@ -228,7 +231,8 @@ class Space:
         # (quotient, projection images, section images) of the metric
         # reflection: one point per zero class, at its least member. None of
         # the three refers back to this space, so keeping them makes no
-        # reference cycle; the two maps are built per call. Distinct classes
+        # reference cycle; metric_reflection builds the two maps per call,
+        # and the witness builders read the tables. Distinct classes
         # are at nonzero distance both ways, so the quotient's zero table is
         # one singleton class per point and is set here, not read from its
         # rows. Not a field, and a failed zero check caches nothing.
@@ -284,12 +288,17 @@ class PointMap:
 def _distance_mismatches(m: PointMap) -> Iterator[tuple[int, int, Dist, Dist]]:
     # Every domain pair i < j whose distance the map changes, in row-major
     # order, as (i, j, domain distance, codomain distance of the images).
-    dm, cm, images = m.domain.matrix, m.codomain.matrix, m.images
-    for i in range(m.domain.n):
-        for j in range(i + 1, m.domain.n):
-            got = cm[images[i]][images[j]]
-            if got != dm[i][j]:
-                yield i, j, dm[i][j], got
+    # One tuple comparison screens each row; only a row that differs is
+    # walked again, in j order. Tuples compare identical entries without
+    # calling Fraction.__eq__, and a pullback shares its parent's entries.
+    cm, images = m.codomain.matrix, m.images
+    for i, row in enumerate(m.domain.matrix):
+        wants = row[i + 1 :]
+        gots = tuple(map(cm[images[i]].__getitem__, images[i + 1 :]))
+        if gots != wants:
+            for j, want, got in zip(range(i + 1, len(row)), wants, gots):
+                if got != want:
+                    yield i, j, want, got
 
 
 def _pullback(
@@ -299,7 +308,8 @@ def _pullback(
     # entry (i, j) is d(points[i], points[j]). Quotients, twins, clones,
     # gluings and permuted copies are all of this form. Anchored points
     # also carry a radius: ``radii`` belongs to the last len(radii) points,
-    # and radii[i] + radii[j] is added off the diagonal.
+    # and radii[i] + radii[j] is added off the diagonal. Each sum is made
+    # once, in an anchored point's row, and mirrored into its column.
     m = parent.matrix
     rows = [[m[p][q] for q in points] for p in points]
     n = len(rows)
@@ -307,8 +317,7 @@ def _pullback(
         if r:
             for j in range(n):
                 if j != i:
-                    rows[i][j] += r
-                    rows[j][i] += r
+                    rows[i][j] = rows[j][i] = rows[i][j] + r
     return Space(labels, rows)
 
 

@@ -25,7 +25,7 @@ from .core import (
     is_metric,
     zero_classes,
 )
-from .reflection import metric_reflection
+from .reflection import _reflection_tables
 
 
 class ResourceLimitError(RuntimeError):
@@ -98,16 +98,17 @@ def induced_reflection_map(phi: PointMap) -> PointMap:
     Zero-distance classes map to zero-distance classes, so sending the class
     of ``x`` to the class of ``phi(x)`` is well defined: the map is the
     composite of the domain's section, ``phi`` and the codomain's
-    projection. It makes the projection square commute and is always a
-    metric isometry; the fuzz morphisms suite and the acceptance tests check
-    both facts independently of this construction.
+    projection, read from the tables both reflections keep. It makes the
+    projection square commute and is always a metric isometry; the fuzz
+    morphisms suite and the acceptance tests check both facts independently
+    of this construction.
     """
     report = is_pseudoisometry(phi)
     if not report.ok:
         raise ValueError(f"map is not a pseudoisometry: {report.violations[0]}")
-    rx = metric_reflection(phi.domain)
-    ry = metric_reflection(phi.codomain)
-    return compose(compose(rx.section, phi), ry.projection)
+    qx, _, reps_x = _reflection_tables(phi.domain)
+    qy, proj_y, _ = _reflection_tables(phi.codomain)
+    return PointMap(qx, qy, tuple(proj_y[phi.images[r]] for r in reps_x))
 
 
 def _joint_signatures(d1: list[list[int]], d2: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -256,18 +257,18 @@ def are_pseudoisometric(x: Space, y: Space) -> PointMap | None:
 
     Reflects both spaces, searches for an isometry of the quotients, and on
     success routes each point through projection, quotient isometry and
-    section. The composite preserves distances and hits the class of every
-    codomain point; absence of a quotient isometry rules a witness out
-    entirely.
+    section, read from the tables both reflections keep. The composite
+    preserves distances and hits the class of every codomain point; absence
+    of a quotient isometry rules a witness out entirely.
     """
     if x.n == 0 or y.n == 0:
         raise ValueError("pseudoisometry is defined for nonempty spaces only")
-    rx = metric_reflection(x)
-    ry = metric_reflection(y)
-    quotient_iso, _ = find_isometry(rx.quotient, ry.quotient)
+    qx, proj_x, _ = _reflection_tables(x)
+    qy, _, reps_y = _reflection_tables(y)
+    quotient_iso, _ = find_isometry(qx, qy)
     if quotient_iso is None:
         return None
-    return compose(compose(rx.projection, quotient_iso), ry.section)
+    return PointMap(x, y, tuple(reps_y[quotient_iso.images[c]] for c in proj_x))
 
 
 def brute_force_pseudoisometry(x: Space, y: Space) -> PointMap | None:

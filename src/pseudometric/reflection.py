@@ -36,6 +36,14 @@ class Reflection:
     section: PointMap
 
 
+def _reflection_tables(space: Space) -> tuple[Space, tuple[int, ...], tuple[int, ...]]:
+    # The (quotient, projection images, representatives) that a nonempty
+    # space keeps: what metric_reflection and the witness builders read.
+    if space.n == 0:
+        raise ValueError("metric reflection requires a nonempty space")
+    return space._reflection
+
+
 def metric_reflection(space: Space) -> Reflection:
     """Collapse each zero-distance class of a nonempty space to one point.
 
@@ -50,9 +58,7 @@ def metric_reflection(space: Space) -> Reflection:
     zero table, one class per point, so :func:`~pseudometric.core.is_metric`
     reads no row of it.
     """
-    if space.n == 0:
-        raise ValueError("metric reflection requires a nonempty space")
-    quotient, images, reps = space._reflection
+    quotient, images, reps = _reflection_tables(space)
     return Reflection(quotient, PointMap(space, quotient, images), PointMap(quotient, space, reps))
 
 

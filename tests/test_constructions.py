@@ -166,6 +166,13 @@ class TestCompletionGlue:
         with pytest.raises(ValueError):
             completion_glue(y, PointMap(quotient, ystar, (0, 1)))
 
+    def test_empty_space_is_refused_by_the_reflection(self):
+        # The empty space has no metric reflection, whatever the embedding.
+        empty = Space((), ())
+        for ystar in (empty, PAIR):
+            with pytest.raises(ValueError, match="metric reflection requires a nonempty space"):
+                completion_glue(empty, PointMap(empty, ystar, ()))
+
 
 class TestCecMinimality:
     def test_cec_superspace_with_closed_image(self):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudometric import core
 from pseudometric import (
     GenParams,
     PointMap,
@@ -63,6 +64,8 @@ class TestDist:
         try:
             assert as_dist("1E+640") == 10**640
             assert as_dist(Decimal("1e-640")) == Fraction(1, 10**640)
+            # A Decimal of exactly the limit's digits still reads.
+            assert as_dist(Decimal("1" * 640)) == int("1" * 640)
             with pytest.raises(ValueError, match="not a rational number"):
                 as_dist("1e641")
             sys.set_int_max_str_digits(0)
@@ -84,6 +87,8 @@ class TestDist:
             "1/0", None, "x", Decimal("Infinity"), Decimal("-Infinity"),
             # Exponent notation past the interpreter's digit limit.
             "1e1000000", "1e-1000000", Decimal("1e1000000"),
+            # A Decimal coefficient one digit past it.
+            Decimal("1" * (sys.get_int_max_str_digits() + 1)),
         ):
             with pytest.raises(ValueError, match="not a rational number"):
                 as_dist(unreadable)
@@ -182,6 +187,9 @@ class TestValidate:
             validate_pseudometric("ab", [[0, Decimal("Infinity")], [1, 0]])
         with pytest.raises(ValueError, match=r"entry \(1,0\) is not a rational"):
             validate_pseudometric("ab", [[0, 1], ["1e1000000", 0]])
+        digits = Decimal("1" * (sys.get_int_max_str_digits() + 1))
+        with pytest.raises(ValueError, match=r"entry \(0,1\) is not a rational"):
+            validate_pseudometric("ab", [[0, digits], [1, 0]])
 
     def test_bool_entries_are_input_errors(self):
         for rows, message in [
@@ -365,6 +373,79 @@ class TestSpace:
         assert TWO_CLASS.index("c") == 2
         with pytest.raises(ValueError):
             TWO_CLASS.index("z")
+
+
+def naive_mismatches(m):
+    # Every pair i < j whose distance the map changes, one entry at a time.
+    dm, cm, images = m.domain.matrix, m.codomain.matrix, m.images
+    return [
+        (i, j, dm[i][j], cm[images[i]][images[j]])
+        for i in range(m.domain.n)
+        for j in range(i + 1, m.domain.n)
+        if cm[images[i]][images[j]] != dm[i][j]
+    ]
+
+
+class TestDistanceMismatches:
+    def test_agrees_with_the_pairwise_loop(self):
+        # Codomains that break symmetry and the triangle inequality; domains
+        # that share the codomain's entries (a pullback), or hold equal but
+        # distinct Fractions, or other values, entry by entry.
+        rng = random.Random(34)
+        seen = set()
+        for _ in range(300):
+            k = rng.randint(1, 5)
+            codomain = mk(
+                [f"c{u}" for u in range(k)],
+                [[Fraction(rng.randint(1, 4) * (u != v)) for v in range(k)] for u in range(k)],
+            )
+            n = rng.randint(1, 5)
+            images = tuple(rng.randrange(k) for _ in range(n))
+            rows = [[codomain.matrix[images[i]][images[j]] for j in range(n)] for i in range(n)]
+            for i, j in itertools.product(range(n), repeat=2):
+                pick = rng.randrange(3)
+                if pick == 1:
+                    v = rows[i][j]
+                    rows[i][j] = Fraction(v.numerator, v.denominator)  # equal, another object
+                elif pick == 2:
+                    rows[i][j] = Fraction(rng.randint(0, 4))
+            m = PointMap(mk([f"d{i}" for i in range(n)], rows), codomain, images)
+            got = list(core._distance_mismatches(m))
+            want = naive_mismatches(m)
+            assert got == want, (m, got, want)
+            # The very objects of both matrices, not equal copies.
+            assert all(a is b for g, w in zip(got, want) for a, b in zip(g, w))
+            seen.add(bool(got))
+        assert seen == {False, True}
+
+    def test_equal_distinct_entries_are_no_mismatch(self):
+        codomain = mk("uvw", [[0, 1, 2], [3, 0, 1], [1, 1, 0]])
+        rows = [[Fraction(v.numerator) for v in row] for row in codomain.matrix]
+        m = PointMap(mk("uvw", rows), codomain, (0, 1, 2))
+        assert all(a is not b for a, b in zip(m.domain.matrix[0][1:], codomain.matrix[0][1:]))
+        assert list(core._distance_mismatches(m)) == []
+        # A row that differs is walked in j order, past its equal entries.
+        rows[0][2] = Fraction(5)
+        m = PointMap(mk("uvw", rows), codomain, (0, 1, 2))
+        assert list(core._distance_mismatches(m)) == [(0, 2, Fraction(5), Fraction(2))]
+
+
+class TestPullback:
+    def test_anchored_radii_add_up_on_both_sides_of_the_diagonal(self):
+        # Points 3 to 6 are anchored to 0, 2, 0 and 1 at radii 1/2, 0, 1/3
+        # and 2: an anchored pair sits at d(a, a') + r + r', an anchored
+        # point and an original one at d(a, p) + r, and the diagonal at 0.
+        points = [0, 1, 2, 0, 2, 0, 1]
+        radii = [Fraction(1, 2), Fraction(0), Fraction(1, 3), Fraction(2)]
+        r = [Fraction(0)] * 3 + radii
+        space = core._pullback(METRIC3, points, [f"p{i}" for i in range(7)], radii)
+        for i, j in itertools.product(range(7), repeat=2):
+            d = METRIC3.matrix[points[i]][points[j]]
+            assert space.matrix[i][j] == (0 if i == j else d + r[i] + r[j]), (i, j)
+        assert space.matrix[3][5] == space.matrix[5][3] == Fraction(5, 6)
+        assert space.matrix[3][6] == space.matrix[6][3] == Fraction(7, 2)
+        assert space.matrix[4][5] == space.matrix[5][4] == Fraction(7, 3)
+        assert space.validate().ok
 
 
 class TestIsMetric:

@@ -55,6 +55,37 @@ def permuted_twin(space, sigma):
     return twin
 
 
+def fuzz_like_pairs(count, seed):
+    # Pairs of the three kinds the fuzz morphisms suite draws, up to four
+    # points: an independent space, the reflection padded with zero-distance
+    # clones, and a permuted twin.
+    rng = random.Random(seed)
+
+    def space():
+        n = rng.randint(1, 4)
+        params = GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3))
+        return random_space(params)
+
+    for _ in range(count):
+        x = space()
+        kind = rng.randrange(3)
+        if kind == 0:
+            y = space()
+        elif kind == 1:
+            quotient = metric_reflection(x).quotient
+            points = list(range(quotient.n))
+            points += [rng.randrange(quotient.n) for _ in range(rng.randint(0, 4 - quotient.n))]
+            y = mk(
+                [f"c{i}" for i in range(len(points))],
+                [[quotient.matrix[a][b] for b in points] for a in points],
+            )
+        else:
+            sigma = list(range(x.n))
+            rng.shuffle(sigma)
+            y = permuted_twin(x, sigma)
+        yield x, y
+
+
 def graph_metric(n, edges, cap):
     # The shortest-path metric of a graph, truncated at ``cap``.
     d = [[0 if a == b else cap for b in range(n)] for a in range(n)]
@@ -168,6 +199,21 @@ class TestInducedReflectionMap:
             with pytest.raises(ValueError) as info:
                 induced_reflection_map(PointMap(PAIR1, target, (0, 0)))
             assert str(info.value) == message
+
+    def test_empty_map_is_refused_by_the_reflection(self):
+        empty = Space((), ())
+        with pytest.raises(ValueError, match="metric reflection requires a nonempty space"):
+            induced_reflection_map(PointMap.identity(empty))
+
+    def test_equals_the_composite_of_section_map_and_projection(self):
+        # Every witness of both searches on the pairs the fuzz morphisms
+        # suite draws: the map is the composite its docstring names.
+        for x, y in fuzz_like_pairs(200, seed=34):
+            rx, ry = metric_reflection(x), metric_reflection(y)
+            for w in (are_pseudoisometric(x, y), brute_force_pseudoisometry(x, y)):
+                if w is not None:
+                    expected = compose(compose(rx.section, w), ry.projection)
+                    assert induced_reflection_map(w) == expected, (x, y, w)
 
 
 class TestFindIsometry:
@@ -443,6 +489,22 @@ class TestArePseudoisometric:
         x, y = mk("abcd", TWO_CLASS.matrix), mk("pqrs", TWO_CLASS.matrix)
         assert are_pseudoisometric(x, y) is not None
         assert calls == [x, y]
+
+    def test_equals_projection_quotient_isometry_then_section(self):
+        # On the pairs the fuzz morphisms suite draws: the witness is the
+        # composite its docstring names, and None exactly when the quotients
+        # are not isometric.
+        found = 0
+        for x, y in fuzz_like_pairs(200, seed=34):
+            rx, ry = metric_reflection(x), metric_reflection(y)
+            iso, _ = find_isometry(rx.quotient, ry.quotient)
+            witness = are_pseudoisometric(x, y)
+            if iso is None:
+                assert witness is None, (x, y)
+            else:
+                found += 1
+                assert witness == compose(compose(rx.projection, iso), ry.section), (x, y)
+        assert 100 < found < 200
 
     def test_empty_space_rejected(self):
         # On either side, refused before the reflection (which has its own message).
