@@ -26,6 +26,7 @@ from .core import (
     _fraction,
     _int_arg,
     _pullback,
+    _sign_rows,
     is_metric,
     members_of,
 )
@@ -86,7 +87,8 @@ def in_cec(e: PointMap) -> bool:
         raise ValueError("embedding is not a superspace inclusion")
     image = frozenset(e.images)
     outside = [u for u in range(e.codomain.n) if u not in image]
-    return all(e.codomain.matrix[u][i] > 0 for u in outside for i in image)
+    rows = _sign_rows(e.codomain)
+    return all(rows[u][i] > 0 for u in outside for i in image)
 
 
 def _inclusion(sub: Space, sup: Space) -> PointMap:
@@ -197,7 +199,8 @@ def random_space(p: GenParams) -> Space:
     ``ceil(n * (1 - zero_merge_prob))`` points, repairs it in place into a
     metric by all-pairs shortest paths (entries only decrease), then pads
     up to ``n`` points with zero-distance clones of random earlier points,
-    read from the repaired matrix as the one ``Space`` is built. The result
+    read from the repaired matrix as the one ``Space`` is built; the space
+    keeps those twelfths as its int form. The result
     always validates; with ``zero_merge_prob`` 0 it is a metric space. The
     Mersenne Twister makes outputs identical across platforms for a seed.
     """
@@ -223,7 +226,9 @@ def _random_space(p: GenParams, labels: tuple[str, ...]) -> Space:
                     ri[j] = via
     rows = [[Fraction(v, 12) for v in row] for row in ints]
     points = _clone_points(base, p.n, rng)
-    return Space(labels, [[rows[a][b] for b in points] for a in points])
+    space = Space(labels, [[rows[a][b] for b in points] for a in points])
+    space.__dict__["_form"] = 12, [[ints[a][b] for b in points] for a in points]
+    return space
 
 
 def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> PointMap:

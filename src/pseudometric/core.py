@@ -9,9 +9,13 @@ the topology, and the morphism checks in the rest of the package.
 All arithmetic is exact and no comparison ever rounds. Distances are
 `fractions.Fraction`s at the boundaries (construction, parsing, emitted
 documents, violation values, public getters), each built once. The hot
-comparisons (the axiom scan, isometry search) run on Python ``int``s: the
-matrices are scaled by one common multiple ``L`` of all their denominators,
-and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``.
+comparisons (the axiom scan, the zero and sign tests, isometry search) run
+on Python ``int``s: the matrices are scaled by one common multiple ``L`` of
+all their denominators, and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``.
+A space the library generates carries the ``(L, int rows)`` it was drawn
+from, and a space derived from it (a quotient, twin, clone, gluing or
+permuted copy) inherits that form, rescaled only when its radii need a
+larger ``L``; every other space is scaled from its ``Fraction``s when read.
 """
 
 from __future__ import annotations
@@ -181,6 +185,12 @@ class Space:
     labels: tuple[str, ...]
     matrix: tuple[tuple[Dist, ...], ...]
 
+    # (L, int rows) with rows[i][j] == L * matrix[i][j], on the spaces the
+    # library generates and derives from them; None on every other. Set in
+    # the instance __dict__, never by a caller, and not a field, so
+    # equality, hashing and repr ignore it.
+    _form = None
+
     def __post_init__(self) -> None:
         labels, rows = _shaped(self.labels, self.matrix)
         object.__setattr__(self, "labels", labels)
@@ -197,7 +207,7 @@ class Space:
             raise ValueError(f"no point labeled {label!r}") from None
 
     def validate(self) -> Report:
-        return validate_pseudometric(self.labels, self.matrix)
+        return validate_pseudometric(self.labels, self.matrix, _form=self._form)
 
     @cached_property
     def _zero_partition(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
@@ -212,7 +222,7 @@ class Space:
         first: dict[frozenset[int], frozenset[int]] = {}
         class_of_point = tuple(first.setdefault(b, b) for b in zero_blocks_unchecked(self))
         blocks = tuple(first)
-        if sum(map(len, blocks)) != self.n or any(r[i] for i, r in enumerate(self.matrix)):
+        if sum(map(len, blocks)) != self.n or any(r[i] for i, r in enumerate(_sign_rows(self))):
             owner = {i: b for b in reversed(blocks) for i in b}
             for i, j in product(range(self.n), repeat=2):
                 dij = self.matrix[i][j]
@@ -301,6 +311,18 @@ def _distance_mismatches(m: PointMap) -> Iterator[tuple[int, int, Dist, Dist]]:
                     yield i, j, want, got
 
 
+def _derived(
+    labels: Iterable[str], rows: Sequence[Sequence[Dist]], form: tuple | None = None
+) -> Space:
+    # The Space on entries that are already checked distances, with ``form``
+    # as its carried (L, int rows) when given. Labels and shape still pass
+    # _shaped, but no entry is coerced again and Space.__init__ does not run.
+    labels, rows = _shaped(labels, rows)
+    space = object.__new__(Space)
+    space.__dict__.update(labels=labels, matrix=tuple(rows), _form=form)
+    return space
+
+
 def _pullback(
     parent: Space, points: Sequence[int], labels: Sequence[str], radii: Sequence[Dist] = ()
 ) -> Space:
@@ -309,25 +331,62 @@ def _pullback(
     # gluings and permuted copies are all of this form. Anchored points
     # also carry a radius: ``radii`` belongs to the last len(radii) points,
     # and radii[i] + radii[j] is added off the diagonal. Each sum is made
-    # once, in an anchored point's row, and mirrored into its column.
+    # once, in an anchored point's row, and mirrored into its column. The
+    # child carries the parent's int form, read through the same index
+    # list, at the lcm of the parent's scale and the radii's denominators.
+    radii = list(map(as_dist, radii))
     m = parent.matrix
     rows = [[m[p][q] for q in points] for p in points]
+    sums = [(rows, radii)]
+    form = parent._form
+    if form is not None:
+        scale, big = form
+        lcm = math.lcm(scale, *(r.denominator for r in radii))
+        ints = [[big[p][q] for q in points] for p in points]
+        if lcm != scale:
+            ints = [[v * (lcm // scale) for v in row] for row in ints]
+        sums.append((ints, [r.numerator * (lcm // r.denominator) for r in radii]))
+        form = lcm, ints
     n = len(rows)
-    for i, r in enumerate(radii, start=n - len(radii)):
-        if r:
-            for j in range(n):
-                if j != i:
-                    rows[i][j] = rows[j][i] = rows[i][j] + r
-    return Space(labels, rows)
+    for table, adds in sums:
+        for i, r in enumerate(adds, start=n - len(adds)):
+            if r:
+                for j in range(n):
+                    if j != i:
+                        table[i][j] = table[j][i] = table[i][j] + r
+    return _derived(labels, rows, form)
+
+
+def _sign_rows(space: Space) -> Sequence[Sequence]:
+    # The rows that the zero and sign tests read: the carried int rows when
+    # the space has them, else its Fraction matrix. Both are zero, and
+    # positive, at the same entries.
+    form = space._form
+    return space.matrix if form is None else form[1]
 
 
 def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> list[list[list[int]]]:
     # The matrices over one common denominator: ints[i][j] = L * matrix[i][j],
     # where L is the least common multiple of every denominator in all of
     # them. Scaling by one L preserves order, equality and sums, within a
-    # matrix and across matrices, so no caller needs L itself.
+    # matrix and across matrices, so a caller that only compares needs no L;
+    # a carried form keeps its L, so that _pullback can add radii at it.
     scale = math.lcm(*{v.denominator for m in matrices for row in m for v in row})
     return [[[v.numerator * (scale // v.denominator) for v in row] for row in m] for m in matrices]
+
+
+def _common_ints(*spaces: Space) -> list[Sequence[Sequence[int]]]:
+    # The spaces' int rows over one common scale: their carried forms,
+    # brought to the lcm of their scales, when every space has one, else
+    # _scaled of their matrices.
+    forms = [s._form for s in spaces]
+    if None in forms:
+        return _scaled(*(s.matrix for s in spaces))
+    lcm = math.lcm(*(scale for scale, _ in forms))
+    return [
+        ints if scale == lcm else [[v * (lcm // scale) for v in row] for row in ints]
+        for scale, ints in forms
+    ]
 
 
 def _raw_rational(value: object, where: str) -> Fraction:
@@ -341,7 +400,9 @@ def _raw_rational(value: object, where: str) -> Fraction:
         raise ValueError(f"entry {where} is not a rational number: {value!r}") from None
 
 
-def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[object]]) -> Report:
+def validate_pseudometric(
+    labels: Sequence[str], matrix: Sequence[Sequence[object]], *, _form: tuple | None = None
+) -> Report:
     """Check the pseudometric axioms on raw input, reporting every violation.
 
     Structural problems (non-square matrix, dimension mismatch, labels that
@@ -351,17 +412,19 @@ def validate_pseudometric(labels: Sequence[str], matrix: Sequence[Sequence[objec
     every ordered triangle violation, each with a witness. The triangle
     witness ``(i, k, j)`` means ``d(i, j) > d(i, k) + d(k, j)``.
     """
-    labels, raw = _shaped(labels, matrix)
+    if _form is None:
+        labels, raw = _shaped(labels, matrix)
+        # A row of Fractions (every Space row) is already what _raw_rational returns.
+        rows = [
+            r
+            if all(type(v) is Fraction for v in r)
+            else tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(r))
+            for i, r in enumerate(raw)
+        ]
+        (ints,) = _scaled(rows)
+    else:  # Space.validate of a space that carries its int form
+        rows, (_, ints) = matrix, _form
     points = range(len(labels))
-    # A row of Fractions (every Space row) is already what _raw_rational returns.
-    rows = [
-        r
-        if all(type(v) is Fraction for v in r)
-        else tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(r))
-        for i, r in enumerate(raw)
-    ]
-
-    (ints,) = _scaled(rows)
     negative = [
         Violation("negative", (i, j), (rows[i][j],))
         for i, ri in enumerate(ints)
@@ -416,7 +479,8 @@ def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
     that the diagonal is zero.
     """
     points = range(space.n)
-    return [frozenset(compress(points, map(not_, r))) | {i} for i, r in enumerate(space.matrix)]
+    rows = _sign_rows(space)
+    return [frozenset(compress(points, map(not_, r))) | {i} for i, r in enumerate(rows)]
 
 
 def zero_classes(space: Space) -> tuple[frozenset[int], ...]:

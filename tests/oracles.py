@@ -4,7 +4,8 @@ Everything here is written with straight loops against the raw definitions,
 on purpose: these are the second route of every dual-route test, so they
 must not share code with the implementations they check. The seeded map
 generator at the end is an input source, not an oracle: it is built from
-the library's public API, and the tests that read it check every map.
+the library's public API, and the tests that read it check every map;
+so is ``without_form``, the second route's copy of a generated space.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ from pseudometric import (
     Violation,
     are_pseudoisometric,
     compose,
+    emit_document,
     metric_reflection,
+    parse_document,
     random_space,
 )
 
@@ -330,3 +333,11 @@ def iter_pseudoisometries(seed: int, count: int):
             yield m
         else:
             yield compose(refl.projection, refl.section)
+
+
+def without_form(space: Space) -> Space:
+    """An equal copy of ``space`` as the CLI reads it: parsed, with no carried int form."""
+    copy = parse_document(emit_document(space))
+    if copy != space or copy._form is not None:
+        raise AssertionError("a parsed copy must equal its space and carry no int form")
+    return copy

@@ -101,8 +101,17 @@ class TestGlueZeroPoint:
             glue_zero_point(Space((), ()), 0, "y0")
 
     def test_label_collision_rejected(self):
-        with pytest.raises(ValueError):
-            glue_zero_point(PAIR, 0, "a")
+        # A used label, and labels that no Space could hold: the twin is
+        # built without Space.__init__, so each must meet the label rule there.
+        for label, message in (
+            ("a", "label 'a' already used"),
+            ("", "labels must be nonempty strings, got ''"),
+            ("\ud800", "label '\\ud800' is not encodable as UTF-8"),
+            (5, "labels must be nonempty strings, got 5"),
+        ):
+            with pytest.raises(ValueError) as info:
+                glue_zero_point(PAIR, 0, label)
+            assert str(info.value) == message
 
 
 class TestCompletionGlue:

@@ -16,11 +16,16 @@ from pseudometric import (
     Space,
     as_dist,
     class_of,
+    completion_glue,
     format_dist,
+    glue_zero_point,
+    in_cec,
     is_metric,
     metric_reflection,
     open_ball,
     random_space,
+    random_superspace,
+    run_fuzz,
     saturate,
     validate_pseudometric,
     zero_classes,
@@ -30,6 +35,7 @@ from oracles import (
     all_subsets,
     small_spaces,
     validate_by_definition,
+    without_form,
     zero_classes_by_definition,
 )
 
@@ -446,6 +452,142 @@ class TestPullback:
         assert space.matrix[3][6] == space.matrix[6][3] == Fraction(7, 2)
         assert space.matrix[4][5] == space.matrix[5][4] == Fraction(7, 3)
         assert space.validate().ok
+
+
+    def test_carried_form_follows_radii_to_new_scales(self):
+        # Radii 1/5 and 2/7 take a generated space's scale 12 to 420, and a
+        # second pullback with radius 1/11 takes that to 4620; a radius of
+        # 3/4 then keeps 4620, and a plain reorder keeps its parent's scale.
+        parent = random_space(GenParams(seed=3, n=4))
+        child = core._pullback(
+            parent, [0, 1, 2, 3, 2, 0], [f"c{i}" for i in range(6)], [Fraction(1, 5), Fraction(2, 7)]
+        )
+        grand = core._pullback(
+            child, [5, 4, 3, 1, 4], [f"g{i}" for i in range(5)], [Fraction(0), Fraction(1, 11)]
+        )
+        kept = core._pullback(grand, [4, 0, 2], "xyz", [Fraction(3, 4)])
+        reordered = core._pullback(parent, [2, 0, 3, 1], "wxyz")
+        for space, scale in ((parent, 12), (child, 420), (grand, 4620), (kept, 4620), (reordered, 12)):
+            assert space._form[0] == scale
+            assert_carries_its_matrix(space)
+            assert space.validate().ok
+        assert child.matrix[4][5] == child.matrix[2][0] + Fraction(1, 5) + Fraction(2, 7)
+
+    def test_radii_are_checked_distances(self):
+        with pytest.raises(ValueError, match="distance must be non-negative"):
+            core._pullback(METRIC3, [0, 1, 2, 0], "abcd", [Fraction(-1, 2)])
+        with pytest.raises(TypeError, match="float distances are not allowed"):
+            core._pullback(METRIC3, [0, 1, 2, 0], "abcd", [0.5])
+
+
+def assert_carries_its_matrix(space):
+    # The carried (L, rows) is the matrix at scale L, entry by entry, in ints.
+    scale, rows = space._form
+    assert type(scale) is int and scale > 0
+    assert [[type(v) for v in row] for row in rows] == [[int] * space.n] * space.n
+    assert [list(row) for row in rows] == [[v * scale for v in row] for row in space.matrix]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_every_space_the_suites_build_carries_its_matrix(seed, monkeypatch):
+    # Every space the fuzz suites draw or derive (twins, clones, permuted
+    # copies, quotients, superspaces and gluings) carries its int form.
+    from pseudometric import fuzz
+
+    built = []
+    derive, draw = core._derived, fuzz._space
+
+    def deriving(*args):
+        built.append(derive(*args))
+        return built[-1]
+
+    def drawing(*args):
+        built.append(draw(*args))
+        return built[-1]
+
+    monkeypatch.setattr(core, "_derived", deriving)
+    monkeypatch.setattr(fuzz, "_space", drawing)
+    assert run_fuzz(seed, 20, 6).ok
+    assert len(built) > 250
+    for space in built:
+        assert_carries_its_matrix(space)
+
+
+def suite_kind_embeddings(count, seed):
+    # Superspace inclusions of the kinds the fuzz constructions suite builds,
+    # over generated spaces: a zero twin, a generated superspace, a
+    # reflection's metric extension and its gluing, and a superspace with
+    # one radius of another denominator, so at another scale.
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        y = random_space(GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3)))
+        yield glue_zero_point(y, rng.randrange(n), "twin")
+        params = GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 3), zero_merge_prob=Fraction(1, 2))
+        yield random_superspace(y, params, force_cec=bool(rng.randrange(2)))
+        params = GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 2))
+        extension = random_superspace(metric_reflection(y).quotient, params, force_cec=True)
+        yield extension
+        yield completion_glue(y, extension)
+        radius = Fraction(rng.randint(0, 3), rng.randint(1, 9))
+        z = core._pullback(y, [*range(n), rng.randrange(n)], [*y.labels, "r"], [radius])
+        yield PointMap(y, z, tuple(range(n)))
+
+
+def test_carried_form_gives_the_answers_of_the_fraction_matrix():
+    # Validation, zero classes and in_cec read the carried int form; a
+    # parsed copy, which carries none, reads the Fractions.
+    embeddings = list(suite_kind_embeddings(40, 35))
+    metric, cec, scales = set(), set(), set()
+    for e in embeddings:
+        for space in (e.domain, e.codomain):
+            copy = without_form(space)
+            report = space.validate()
+            assert report == copy.validate() == validate_pseudometric(space.labels, space.matrix)
+            assert report.ok
+            assert zero_classes(space) == zero_classes(copy)
+            metric.add(is_metric(space))
+            scales.add(space._form[0])
+        cec.add(in_cec(e))
+        assert in_cec(e) == in_cec(PointMap(without_form(e.domain), without_form(e.codomain), e.images))
+    assert len(embeddings) == 200
+    assert metric == cec == {False, True}
+    assert len(scales) > 2
+
+
+def test_carried_form_reports_what_the_fraction_matrix_breaks():
+    # A matrix that breaks the diagonal, symmetry and triangle rules, given
+    # its int form by hand: the report quotes the very Fraction entries.
+    rows = [
+        [Fraction(1, 3), 1, 5, 0],
+        [1, 0, Fraction(1, 2), 1],
+        [5, Fraction(2, 3), 0, 1],
+        [0, 1, 1, 0],
+    ]
+    broken = mk("abcd", rows)
+    want = validate_pseudometric(broken.labels, broken.matrix)
+    broken.__dict__["_form"] = (6, [[int(v * 6) for v in row] for row in broken.matrix])
+    report = broken.validate()
+    assert report == want
+    assert {v.rule for v in report.violations} == {"diagonal", "symmetry", "triangle"}
+    entries = [v for row in broken.matrix for v in row]
+    for v in report.violations:
+        assert all(any(value is entry for entry in entries) for value in v.values)
+    # The zero tests read the ints; an error quotes the Fraction entry.
+    for rows, message in (
+        ([[Fraction(1, 2), 1], [1, 0]], "not reflexive: d(a,a) = 1/2"),
+        ([[0, 0, Fraction(1, 2)], [0, 0, 0], [Fraction(1, 2), 0, 0]], "not transitive: d(b,c) = 0"),
+    ):
+        labels = "abc"[: len(rows)]
+        with pytest.raises(ValueError) as plain:
+            zero_classes(mk(labels, rows))
+        carried = mk(labels, rows)
+        carried.__dict__["_form"] = (2, [[int(v * 2) for v in row] for row in carried.matrix])
+        with pytest.raises(ValueError) as info:
+            zero_classes(carried)
+        assert str(info.value) == str(plain.value) == (
+            f"zero-distance relation is {message}; not a valid pseudometric"
+        )
 
 
 class TestIsMetric:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pseudometric import core, morphisms
+from pseudometric.constructions import _clone_points
 from pseudometric import (
     GenParams,
     IsoSearchStats,
@@ -34,6 +35,7 @@ from oracles import (
     joint_refinement,
     pseudoisometry_by_definition,
     small_spaces,
+    without_form,
 )
 
 
@@ -83,6 +85,36 @@ def fuzz_like_pairs(count, seed):
             sigma = list(range(x.n))
             rng.shuffle(sigma)
             y = permuted_twin(x, sigma)
+        yield x, y
+
+
+def carried_pairs(count, seed):
+    # Pairs of the kinds the fuzz morphisms suite searches, built by the
+    # library so that both carry their int forms: an independent space, the
+    # reflection padded with clones, a permuted twin, and a permuted twin
+    # read from a superspace with a radius of 1/5, whose scale is 60, not 12.
+    rng = random.Random(seed)
+
+    def space():
+        n = rng.randint(1, 4)
+        return random_space(GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3)))
+
+    for _ in range(count):
+        x = space()
+        kind = rng.randrange(4)
+        if kind == 0:
+            y = space()
+        elif kind == 1:
+            quotient = metric_reflection(x).quotient
+            points = _clone_points(quotient.n, rng.randint(quotient.n, 4), rng)
+            y = core._pullback(quotient, points, [f"c{i}" for i in range(len(points))])
+        else:
+            sigma = list(range(x.n))
+            rng.shuffle(sigma)
+            source = x
+            if kind == 3:
+                source = core._pullback(x, [*range(x.n), 0], [*x.labels, "w"], [Fraction(1, 5)])
+            y = core._pullback(source, sigma, [f"t{i}" for i in range(x.n)])
         yield x, y
 
 
@@ -258,6 +290,19 @@ class TestFindIsometry:
         assert witness is not None and witness.images == (2, 0, 1)
         lifted = are_pseudoisometric(thirds, twin)
         assert lifted is not None and pseudoisometry_by_definition(lifted)
+
+    def test_carried_forms_give_the_search_of_the_fraction_matrices(self):
+        # The same witness and counters from the carried int forms, from one
+        # form and the Fractions of the other, and from the Fractions alone.
+        outcomes = set()
+        for x, y in carried_pairs(200, 35):
+            qx, qy = metric_reflection(x).quotient, metric_reflection(y).quotient
+            want = find_isometry(without_form(qx), without_form(qy))
+            assert find_isometry(qx, qy) == want
+            assert find_isometry(qx, without_form(qy)) == want
+            assert find_isometry(without_form(qx), qy) == want
+            outcomes.add((qx._form[0], qy._form[0], want[0] is not None))
+        assert {(12, 12, False), (12, 12, True), (12, 60, True)} <= outcomes
 
     def test_non_metric_inputs_rejected(self):
         with pytest.raises(ValueError):
