@@ -26,7 +26,6 @@ from .core import (
     _fraction,
     _int_arg,
     _pullback,
-    _sign_rows,
     is_metric,
     members_of,
 )
@@ -87,8 +86,7 @@ def in_cec(e: PointMap) -> bool:
         raise ValueError("embedding is not a superspace inclusion")
     image = frozenset(e.images)
     outside = [u for u in range(e.codomain.n) if u not in image]
-    rows = _sign_rows(e.codomain)
-    return all(rows[u][i] > 0 for u in outside for i in image)
+    return all(e.codomain.matrix[u][i] > 0 for u in outside for i in image)
 
 
 def _inclusion(sub: Space, sup: Space) -> PointMap:

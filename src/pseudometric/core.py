@@ -9,13 +9,13 @@ the topology, and the morphism checks in the rest of the package.
 All arithmetic is exact and no comparison ever rounds. Distances are
 `fractions.Fraction`s at the boundaries (construction, parsing, emitted
 documents, violation values, public getters), each built once. The hot
-comparisons (the axiom scan, the zero and sign tests, isometry search) run
-on Python ``int``s: the matrices are scaled by one common multiple ``L`` of
-all their denominators, and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``.
-A space the library generates carries the ``(L, int rows)`` it was drawn
-from, and a space derived from it (a quotient, twin, clone, gluing or
-permuted copy) inherits that form, rescaled only when its radii need a
-larger ``L``; every other space is scaled from its ``Fraction``s when read.
+comparisons (the axiom scan, isometry search) run on Python ``int``s: the
+matrices are scaled by one common multiple ``L`` of all their denominators,
+and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``. A space the library
+generates carries the ``(L, int rows)`` it was drawn from, and a space
+derived from it (a quotient, twin, clone, gluing or permuted copy) inherits
+that form, rescaled only when its radii need a larger ``L``; validation
+reads it. Every other read scales the ``Fraction``s when it needs ints.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class Space:
         first: dict[frozenset[int], frozenset[int]] = {}
         class_of_point = tuple(first.setdefault(b, b) for b in zero_blocks_unchecked(self))
         blocks = tuple(first)
-        if sum(map(len, blocks)) != self.n or any(r[i] for i, r in enumerate(_sign_rows(self))):
+        if sum(map(len, blocks)) != self.n or any(r[i] for i, r in enumerate(self.matrix)):
             owner = {i: b for b in reversed(blocks) for i in b}
             for i, j in product(range(self.n), repeat=2):
                 dij = self.matrix[i][j]
@@ -311,18 +311,6 @@ def _distance_mismatches(m: PointMap) -> Iterator[tuple[int, int, Dist, Dist]]:
                     yield i, j, want, got
 
 
-def _derived(
-    labels: Iterable[str], rows: Sequence[Sequence[Dist]], form: tuple | None = None
-) -> Space:
-    # The Space on entries that are already checked distances, with ``form``
-    # as its carried (L, int rows) when given. Labels and shape still pass
-    # _shaped, but no entry is coerced again and Space.__init__ does not run.
-    labels, rows = _shaped(labels, rows)
-    space = object.__new__(Space)
-    space.__dict__.update(labels=labels, matrix=tuple(rows), _form=form)
-    return space
-
-
 def _pullback(
     parent: Space, points: Sequence[int], labels: Sequence[str], radii: Sequence[Dist] = ()
 ) -> Space:
@@ -334,6 +322,10 @@ def _pullback(
     # once, in an anchored point's row, and mirrored into its column. The
     # child carries the parent's int form, read through the same index
     # list, at the lcm of the parent's scale and the radii's denominators.
+    # Space.__init__ does not run: labels and shape still pass _shaped, and
+    # each radius passes as_dist once, in place of the check that
+    # Space.__init__ made on every sum; the parent's entries are not checked
+    # again.
     radii = list(map(as_dist, radii))
     m = parent.matrix
     rows = [[m[p][q] for q in points] for p in points]
@@ -354,15 +346,10 @@ def _pullback(
                 for j in range(n):
                     if j != i:
                         table[i][j] = table[j][i] = table[i][j] + r
-    return _derived(labels, rows, form)
-
-
-def _sign_rows(space: Space) -> Sequence[Sequence]:
-    # The rows that the zero and sign tests read: the carried int rows when
-    # the space has them, else its Fraction matrix. Both are zero, and
-    # positive, at the same entries.
-    form = space._form
-    return space.matrix if form is None else form[1]
+    labels, rows = _shaped(labels, rows)
+    space = object.__new__(Space)
+    space.__dict__.update(labels=labels, matrix=tuple(rows), _form=form)
+    return space
 
 
 def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> list[list[list[int]]]:
@@ -373,20 +360,6 @@ def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> list[list[list[int]]]:
     # a carried form keeps its L, so that _pullback can add radii at it.
     scale = math.lcm(*{v.denominator for m in matrices for row in m for v in row})
     return [[[v.numerator * (scale // v.denominator) for v in row] for row in m] for m in matrices]
-
-
-def _common_ints(*spaces: Space) -> list[Sequence[Sequence[int]]]:
-    # The spaces' int rows over one common scale: their carried forms,
-    # brought to the lcm of their scales, when every space has one, else
-    # _scaled of their matrices.
-    forms = [s._form for s in spaces]
-    if None in forms:
-        return _scaled(*(s.matrix for s in spaces))
-    lcm = math.lcm(*(scale for scale, _ in forms))
-    return [
-        ints if scale == lcm else [[v * (lcm // scale) for v in row] for row in ints]
-        for scale, ints in forms
-    ]
 
 
 def _raw_rational(value: object, where: str) -> Fraction:
@@ -479,8 +452,7 @@ def zero_blocks_unchecked(space: Space) -> list[frozenset[int]]:
     that the diagonal is zero.
     """
     points = range(space.n)
-    rows = _sign_rows(space)
-    return [frozenset(compress(points, map(not_, r))) | {i} for i, r in enumerate(rows)]
+    return [frozenset(compress(points, map(not_, r))) | {i} for i, r in enumerate(space.matrix)]
 
 
 def zero_classes(space: Space) -> tuple[frozenset[int], ...]:

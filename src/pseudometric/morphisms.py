@@ -20,8 +20,8 @@ from .core import (
     Report,
     Space,
     Violation,
-    _common_ints,
     _distance_mismatches,
+    _scaled,
     is_metric,
     zero_classes,
 )
@@ -179,8 +179,8 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
         return None, IsoSearchStats()
 
     # One scale for both spaces: scaling each by its own LCM would equate
-    # {1, 2} with {1/2, 1}. Any positive common scale gives the same colours.
-    d1, d2 = _common_ints(m1, m2)
+    # {1, 2} with {1/2, 1}.
+    d1, d2 = _scaled(m1.matrix, m2.matrix)
     c1, c2 = _joint_signatures(d1, d2)
     by_color = _bitmasks(c2)
     masks = [by_color.get(c, 0) for c in c1]  # masks[i]: the candidate targets of i

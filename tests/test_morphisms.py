@@ -292,8 +292,8 @@ class TestFindIsometry:
         assert lifted is not None and pseudoisometry_by_definition(lifted)
 
     def test_carried_forms_give_the_search_of_the_fraction_matrices(self):
-        # The same witness and counters from the carried int forms, from one
-        # form and the Fractions of the other, and from the Fractions alone.
+        # The same witness and counters whether both spaces carry an int
+        # form, one does, or neither does.
         outcomes = set()
         for x, y in carried_pairs(200, 35):
             qx, qy = metric_reflection(x).quotient, metric_reflection(y).quotient
