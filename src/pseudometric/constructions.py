@@ -197,8 +197,7 @@ def random_space(p: GenParams) -> Space:
     ``ceil(n * (1 - zero_merge_prob))`` points, repairs it in place into a
     metric by all-pairs shortest paths (entries only decrease), then pads
     up to ``n`` points with zero-distance clones of random earlier points,
-    read from the repaired matrix as the one ``Space`` is built; the space
-    keeps those twelfths as its int form. The result
+    read from the repaired matrix as the one ``Space`` is built. The result
     always validates; with ``zero_merge_prob`` 0 it is a metric space. The
     Mersenne Twister makes outputs identical across platforms for a seed.
     """
@@ -224,9 +223,7 @@ def _random_space(p: GenParams, labels: tuple[str, ...]) -> Space:
                     ri[j] = via
     rows = [[Fraction(v, 12) for v in row] for row in ints]
     points = _clone_points(base, p.n, rng)
-    space = Space(labels, [[rows[a][b] for b in points] for a in points])
-    space.__dict__["_form"] = 12, [[ints[a][b] for b in points] for a in points]
-    return space
+    return Space(labels, [[rows[a][b] for b in points] for a in points])
 
 
 def random_superspace(y: Space, p: GenParams, force_cec: bool = False) -> PointMap:

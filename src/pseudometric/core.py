@@ -11,11 +11,12 @@ All arithmetic is exact and no comparison ever rounds. Distances are
 documents, violation values, public getters), each built once. The hot
 comparisons (the axiom scan, isometry search) run on Python ``int``s: the
 matrices are scaled by one common multiple ``L`` of all their denominators,
-and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``. A space the library
-generates carries the ``(L, int rows)`` it was drawn from, and a space
-derived from it (a quotient, twin, clone, gluing or permuted copy) inherits
-that form, rescaled only when its radii need a larger ``L``; validation
-reads it. Every other read scales the ``Fraction``s when it needs ints.
+and ``a/L <= b/L + c/L`` holds iff ``a <= b + c``. Each space keeps one
+such ``L``, read on first use: the least common multiple of its
+denominators, or, for a space derived from one whose ``L`` was already
+read (a quotient, twin, clone, gluing or permuted copy), the least
+common multiple of that ``L`` and its radii's denominators. Validation
+and isometry search both scale through ``_ints``.
 """
 
 from __future__ import annotations
@@ -185,12 +186,6 @@ class Space:
     labels: tuple[str, ...]
     matrix: tuple[tuple[Dist, ...], ...]
 
-    # (L, int rows) with rows[i][j] == L * matrix[i][j], on the spaces the
-    # library generates and derives from them; None on every other. Set in
-    # the instance __dict__, never by a caller, and not a field, so
-    # equality, hashing and repr ignore it.
-    _form = None
-
     def __post_init__(self) -> None:
         labels, rows = _shaped(self.labels, self.matrix)
         object.__setattr__(self, "labels", labels)
@@ -207,7 +202,14 @@ class Space:
             raise ValueError(f"no point labeled {label!r}") from None
 
     def validate(self) -> Report:
-        return validate_pseudometric(self.labels, self.matrix, _form=self._form)
+        return validate_pseudometric(self.labels, self.matrix, _scale=self._scale)
+
+    @cached_property
+    def _scale(self) -> int:
+        # A common multiple of every denominator in the matrix: the least
+        # one, unless _pullback set an inherited one. Not a field, so
+        # equality, hashing and repr ignore it.
+        return math.lcm(*{v.denominator for row in self.matrix for v in row})
 
     @cached_property
     def _zero_partition(self) -> tuple[tuple[frozenset[int], ...], tuple[frozenset[int], ...]]:
@@ -319,47 +321,35 @@ def _pullback(
     # gluings and permuted copies are all of this form. Anchored points
     # also carry a radius: ``radii`` belongs to the last len(radii) points,
     # and radii[i] + radii[j] is added off the diagonal. Each sum is made
-    # once, in an anchored point's row, and mirrored into its column. The
-    # child carries the parent's int form, read through the same index
-    # list, at the lcm of the parent's scale and the radii's denominators.
+    # once, in an anchored point's row, and mirrored into its column.
     # Space.__init__ does not run: labels and shape still pass _shaped, and
     # each radius passes as_dist once, in place of the check that
     # Space.__init__ made on every sum; the parent's entries are not checked
-    # again.
+    # again. A parent that has read its scale hands the child the lcm of
+    # that scale and the radii's denominators; one that has not is not made
+    # to scan its matrix for a child that may never read a scale.
     radii = list(map(as_dist, radii))
     m = parent.matrix
     rows = [[m[p][q] for q in points] for p in points]
-    sums = [(rows, radii)]
-    form = parent._form
-    if form is not None:
-        scale, big = form
-        lcm = math.lcm(scale, *(r.denominator for r in radii))
-        ints = [[big[p][q] for q in points] for p in points]
-        if lcm != scale:
-            ints = [[v * (lcm // scale) for v in row] for row in ints]
-        sums.append((ints, [r.numerator * (lcm // r.denominator) for r in radii]))
-        form = lcm, ints
     n = len(rows)
-    for table, adds in sums:
-        for i, r in enumerate(adds, start=n - len(adds)):
-            if r:
-                for j in range(n):
-                    if j != i:
-                        table[i][j] = table[j][i] = table[i][j] + r
+    for i, r in enumerate(radii, start=n - len(radii)):
+        if r:
+            for j in range(n):
+                if j != i:
+                    rows[i][j] = rows[j][i] = rows[i][j] + r
     labels, rows = _shaped(labels, rows)
     space = object.__new__(Space)
-    space.__dict__.update(labels=labels, matrix=tuple(rows), _form=form)
+    space.__dict__.update(labels=labels, matrix=tuple(rows))
+    if "_scale" in parent.__dict__:
+        space.__dict__["_scale"] = math.lcm(parent._scale, *(r.denominator for r in radii))
     return space
 
 
-def _scaled(*matrices: Sequence[Sequence[Fraction]]) -> list[list[list[int]]]:
-    # The matrices over one common denominator: ints[i][j] = L * matrix[i][j],
-    # where L is the least common multiple of every denominator in all of
-    # them. Scaling by one L preserves order, equality and sums, within a
-    # matrix and across matrices, so a caller that only compares needs no L;
-    # a carried form keeps its L, so that _pullback can add radii at it.
-    scale = math.lcm(*{v.denominator for m in matrices for row in m for v in row})
-    return [[[v.numerator * (scale // v.denominator) for v in row] for row in m] for m in matrices]
+def _ints(rows: Sequence[Sequence[Fraction]], scale: int) -> list[list[int]]:
+    # The matrix at ``scale``, a common multiple of its denominators:
+    # ints[i][j] = scale * rows[i][j]. Scaling by one L preserves order,
+    # equality and sums, within a matrix and across matrices scaled alike.
+    return [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
 
 
 def _raw_rational(value: object, where: str) -> Fraction:
@@ -374,7 +364,7 @@ def _raw_rational(value: object, where: str) -> Fraction:
 
 
 def validate_pseudometric(
-    labels: Sequence[str], matrix: Sequence[Sequence[object]], *, _form: tuple | None = None
+    labels: Sequence[str], matrix: Sequence[Sequence[object]], *, _scale: int | None = None
 ) -> Report:
     """Check the pseudometric axioms on raw input, reporting every violation.
 
@@ -385,18 +375,15 @@ def validate_pseudometric(
     every ordered triangle violation, each with a witness. The triangle
     witness ``(i, k, j)`` means ``d(i, j) > d(i, k) + d(k, j)``.
     """
-    if _form is None:
+    rows = matrix  # Space.validate: checked Fractions and their scale
+    if _scale is None:
         labels, raw = _shaped(labels, matrix)
-        # A row of Fractions (every Space row) is already what _raw_rational returns.
         rows = [
-            r
-            if all(type(v) is Fraction for v in r)
-            else tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(r))
+            tuple(_raw_rational(v, f"({i},{j})") for j, v in enumerate(r))
             for i, r in enumerate(raw)
         ]
-        (ints,) = _scaled(rows)
-    else:  # Space.validate of a space that carries its int form
-        rows, (_, ints) = matrix, _form
+        _scale = math.lcm(*{v.denominator for r in rows for v in r})
+    ints = _ints(rows, _scale)
     points = range(len(labels))
     negative = [
         Violation("negative", (i, j), (rows[i][j],))

@@ -11,6 +11,7 @@ provides the independent enumeration oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import add
@@ -21,7 +22,7 @@ from .core import (
     Space,
     Violation,
     _distance_mismatches,
-    _scaled,
+    _ints,
     is_metric,
     zero_classes,
 )
@@ -180,7 +181,8 @@ def find_isometry(m1: Space, m2: Space) -> tuple[PointMap | None, IsoSearchStats
 
     # One scale for both spaces: scaling each by its own LCM would equate
     # {1, 2} with {1/2, 1}.
-    d1, d2 = _scaled(m1.matrix, m2.matrix)
+    scale = math.lcm(m1._scale, m2._scale)
+    d1, d2 = _ints(m1.matrix, scale), _ints(m2.matrix, scale)
     c1, c2 = _joint_signatures(d1, d2)
     by_color = _bitmasks(c2)
     masks = [by_color.get(c, 0) for c in c1]  # masks[i]: the candidate targets of i

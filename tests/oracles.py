@@ -5,7 +5,7 @@ on purpose: these are the second route of every dual-route test, so they
 must not share code with the implementations they check. The seeded map
 generator at the end is an input source, not an oracle: it is built from
 the library's public API, and the tests that read it check every map;
-so is ``without_form``, the second route's copy of a generated space.
+so is ``parsed_copy``, the second route's copy of a derived space.
 """
 
 from __future__ import annotations
@@ -335,9 +335,9 @@ def iter_pseudoisometries(seed: int, count: int):
             yield compose(refl.projection, refl.section)
 
 
-def without_form(space: Space) -> Space:
-    """An equal copy of ``space`` as the CLI reads it: parsed, with no carried int form."""
+def parsed_copy(space: Space) -> Space:
+    """An equal copy of ``space`` as the CLI reads it: parsed, its scale not yet read."""
     copy = parse_document(emit_document(space))
-    if copy != space or copy._form is not None:
-        raise AssertionError("a parsed copy must equal its space and carry no int form")
+    if copy != space or "_scale" in copy.__dict__:
+        raise AssertionError("a parsed copy must equal its space and have read no scale")
     return copy

@@ -33,9 +33,9 @@ from pseudometric import (
 
 from oracles import (
     all_subsets,
+    parsed_copy,
     small_spaces,
     validate_by_definition,
-    without_form,
     zero_classes_by_definition,
 )
 
@@ -274,7 +274,7 @@ class TestValidate:
         # matrix over {0, 1, 2} with a zero diagonal, asymmetric ones
         # included: the whole report (rules, order, witnesses, values)
         # equals the Fraction loops', so both triangle screens and the rule
-        # order meet every small case. Mixed rows take the entry-by-entry path.
+        # order meet every small case.
         matrices = [
             [e[:2], e[2:]] for e in itertools.product((-1, 0, Fraction(1, 2), 1, 2), repeat=4)
         ] + [
@@ -297,8 +297,11 @@ class TestValidate:
     def test_equals_reference_report(self, denominators):
         # Whole reports (rule order, witnesses and Fraction values) against
         # the Fraction loops, on raw matrices of mixed entry types with
-        # negatives, asymmetry and nonzero diagonals, from n = 0 up.
+        # negatives, asymmetry and nonzero diagonals, from n = 0 up. A
+        # matrix with no negative entry is also validated as a Space, at
+        # its least scale and at twice that scale.
         rng = random.Random(sum(denominators))
+        spaces = 0
         kinds = (Fraction, str, lambda v: v.numerator if v.denominator == 1 else v)
         for t in range(160):
             n = t % 8
@@ -318,6 +321,17 @@ class TestValidate:
             expected = validate_by_definition(labels, rows)
             assert report == expected
             assert repr(report) == repr(expected)
+            if all(Fraction(v) >= 0 for row in rows for v in row):
+                space = Space(labels, rows)
+                reports = [space.validate()]
+                doubled = Space(labels, rows)
+                doubled.__dict__["_scale"] = 2 * space._scale
+                reports.append(doubled.validate())
+                for report in reports:
+                    assert report == expected
+                    assert repr(report) == repr(expected)
+                spaces += 1
+        assert spaces > 20
 
     def test_agrees_with_naive_scan_on_enumerated_family(self):
         # Every {0,1,2} assignment on up to 4 points, valid or not.
@@ -454,10 +468,13 @@ class TestPullback:
         assert space.validate().ok
 
     def test_carried_form_follows_radii_to_new_scales(self):
-        # Radii 1/5 and 2/7 take a generated space's scale 12 to 420, and a
-        # second pullback with radius 1/11 takes that to 4620; a radius of
-        # 3/4 then keeps 4620, and a plain reorder keeps its parent's scale.
+        # A generated space whose scale 4 has been read hands it on: radii
+        # 1/5 and 2/7 take it to 140, a second pullback with radius 1/11
+        # takes that to 1540, a radius of 3/4 then keeps 1540, and a plain
+        # reorder keeps 4, as does a pair at distance 0, whose own least
+        # scale is 1.
         parent = random_space(GenParams(seed=3, n=4))
+        assert parent._scale == 4
         child = core._pullback(
             parent, [0, 1, 2, 3, 2, 0], [f"c{i}" for i in range(6)], [Fraction(1, 5), Fraction(2, 7)]
         )
@@ -466,32 +483,50 @@ class TestPullback:
         )
         kept = core._pullback(grand, [4, 0, 2], "xyz", [Fraction(3, 4)])
         reordered = core._pullback(parent, [2, 0, 3, 1], "wxyz")
-        for space, scale in ((parent, 12), (child, 420), (grand, 4620), (kept, 4620), (reordered, 12)):
-            assert space._form[0] == scale
+        pair = core._pullback(parent, [2, 3], "uv")
+        chain = ((parent, 4), (child, 140), (grand, 1540), (kept, 1540), (reordered, 4), (pair, 4))
+        for space, scale in chain:
+            assert space.__dict__["_scale"] == scale
             assert_carries_its_matrix(space)
             assert space.validate().ok
+        assert pair.matrix == ((0, 0), (0, 0)) and parsed_copy(pair)._scale == 1
         assert child.matrix[4][5] == child.matrix[2][0] + Fraction(1, 5) + Fraction(2, 7)
+        # A parent that has not read its scale is not made to, and its child
+        # finds its own least one when asked.
+        unread = random_space(GenParams(seed=3, n=4))
+        orphan = core._pullback(unread, [0, 1, 2, 3, 2, 0], child.labels, [Fraction(1, 5), Fraction(2, 7)])
+        assert orphan == child
+        assert "_scale" not in unread.__dict__ and "_scale" not in orphan.__dict__
+        assert orphan._scale == 140 and "_scale" not in unread.__dict__
+        orphan_pair = core._pullback(unread, [2, 3], "uv")
+        assert orphan_pair._scale == 1 and "_scale" not in unread.__dict__
 
 
 def assert_carries_its_matrix(space):
-    # The carried (L, rows) is the matrix at scale L, entry by entry, in ints.
-    scale, rows = space._form
+    # The space's scale L is a common multiple of its denominators: every
+    # v * L is whole, and _ints gives those wholes as ints.
+    scale = space._scale
     assert type(scale) is int and scale > 0
-    assert [[type(v) for v in row] for row in rows] == [[int] * space.n] * space.n
-    assert [list(row) for row in rows] == [[v * scale for v in row] for row in space.matrix]
+    wholes = [[v * scale for v in row] for row in space.matrix]
+    assert all(v.denominator == 1 for row in wholes for v in row)
+    ints = core._ints(space.matrix, scale)
+    assert [[type(v) for v in row] for row in ints] == [[int] * space.n] * space.n
+    assert ints == wholes
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_every_space_the_suites_build_carries_its_matrix(seed, monkeypatch):
     # Every space the fuzz suites draw or derive (twins, clones, permuted
-    # copies, quotients, superspaces and gluings) carries its int form.
+    # copies, quotients, superspaces and gluings) scales exactly at its
+    # scale, whether inherited at build or read later, and most inherit.
     from pseudometric import constructions, fuzz
 
-    built = []
+    built, inherited = [], []
 
     def spy(build):
         def building(*args):
             built.append(build(*args))
+            inherited.append("_scale" in built[-1].__dict__)
             return built[-1]
 
         return building
@@ -501,19 +536,27 @@ def test_every_space_the_suites_build_carries_its_matrix(seed, monkeypatch):
     monkeypatch.setattr(fuzz, "_space", spy(fuzz._space))
     assert run_fuzz(seed, 20, 6).ok
     assert len(built) > 250
-    for space in built:
+    for space, was_inherited in zip(built, inherited):
         assert_carries_its_matrix(space)
+        least = parsed_copy(space)._scale
+        assert space._scale % least == 0
+        assert was_inherited or space._scale == least
+    assert sum(inherited) > len(built) / 2
 
 
 def suite_kind_embeddings(count, seed):
     # Superspace inclusions of the kinds the fuzz constructions suite builds,
     # over generated spaces: a zero twin, a generated superspace, a
     # reflection's metric extension and its gluing, and a superspace with
-    # one radius of another denominator, so at another scale.
+    # one radius of another denominator, so at another scale, whose
+    # subspace y, read back from it, inherits that scale. Each y is
+    # validated first, as in the suite, so the spaces built from it inherit
+    # its scale.
     rng = random.Random(seed)
     for _ in range(count):
         n = rng.randint(1, 6)
         y = random_space(GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3)))
+        assert y.validate().ok
         yield glue_zero_point(y, rng.randrange(n), "twin")
         params = GenParams(seed=rng.getrandbits(63), n=rng.randint(0, 3), zero_merge_prob=Fraction(1, 2))
         yield random_superspace(y, params, force_cec=bool(rng.randrange(2)))
@@ -523,33 +566,36 @@ def suite_kind_embeddings(count, seed):
         yield completion_glue(y, extension)
         radius = Fraction(rng.randint(0, 3), rng.randint(1, 9))
         z = core._pullback(y, [*range(n), rng.randrange(n)], [*y.labels, "r"], [radius])
-        yield PointMap(y, z, tuple(range(n)))
+        yield PointMap(core._pullback(z, range(n), y.labels), z, tuple(range(n)))
 
 
 def test_carried_form_gives_the_answers_of_the_fraction_matrix():
-    # Validation reads the carried int form; a parsed copy, which carries
-    # none, scales its Fractions. Zero classes and in_cec agree on both.
+    # Validation of a derived space reads the scale it inherited; a parsed
+    # copy finds its own least one. Reports, zero classes and in_cec agree
+    # on both.
     embeddings = list(suite_kind_embeddings(40, 35))
     metric, cec, scales = set(), set(), set()
     for e in embeddings:
         for space in (e.domain, e.codomain):
-            copy = without_form(space)
+            copy = parsed_copy(space)
             report = space.validate()
             assert report == copy.validate() == validate_pseudometric(space.labels, space.matrix)
             assert report.ok
             assert zero_classes(space) == zero_classes(copy)
             metric.add(is_metric(space))
-            scales.add(space._form[0])
+            scales.add((space._scale, copy._scale))
         cec.add(in_cec(e))
-        assert in_cec(e) == in_cec(PointMap(without_form(e.domain), without_form(e.codomain), e.images))
+        assert in_cec(e) == in_cec(PointMap(parsed_copy(e.domain), parsed_copy(e.codomain), e.images))
     assert len(embeddings) == 200
     assert metric == cec == {False, True}
-    assert len(scales) > 2
+    assert len({inherited for inherited, _ in scales}) > 2
+    assert any(inherited > least for inherited, least in scales)
 
 
 def test_carried_form_reports_what_the_fraction_matrix_breaks():
     # A matrix that breaks the diagonal, symmetry and triangle rules, given
-    # its int form by hand: the report quotes the very Fraction entries.
+    # a scale by hand twice its least one: the report quotes the very
+    # Fraction entries.
     rows = [
         [Fraction(1, 3), 1, 5, 0],
         [1, 0, Fraction(1, 2), 1],
@@ -558,7 +604,8 @@ def test_carried_form_reports_what_the_fraction_matrix_breaks():
     ]
     broken = mk("abcd", rows)
     want = validate_pseudometric(broken.labels, broken.matrix)
-    broken.__dict__["_form"] = (6, [[int(v * 6) for v in row] for row in broken.matrix])
+    assert parsed_copy(broken)._scale == 6
+    broken.__dict__["_scale"] = 12
     report = broken.validate()
     assert report == want
     assert {v.rule for v in report.violations} == {"diagonal", "symmetry", "triangle"}

@@ -1,6 +1,7 @@
 import functools
 import inspect
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -33,9 +34,9 @@ from oracles import (
     backtracking_isometry,
     factorial_isometry,
     joint_refinement,
+    parsed_copy,
     pseudoisometry_by_definition,
     small_spaces,
-    without_form,
 )
 
 
@@ -90,14 +91,17 @@ def fuzz_like_pairs(count, seed):
 
 def carried_pairs(count, seed):
     # Pairs of the kinds the fuzz morphisms suite searches, built by the
-    # library so that both carry their int forms: an independent space, the
+    # library from generated spaces that have read their scales, so that
+    # every derived space inherits one: an independent space, the
     # reflection padded with clones, a permuted twin, and a permuted twin
-    # read from a superspace with a radius of 1/5, whose scale is 60, not 12.
+    # read from a superspace with a radius of 1/5, whose scale gains a 5.
     rng = random.Random(seed)
 
     def space():
         n = rng.randint(1, 4)
-        return random_space(GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3)))
+        x = random_space(GenParams(seed=rng.getrandbits(63), n=n, zero_merge_prob=Fraction(1, 3)))
+        assert x._scale > 0
+        return x
 
     for _ in range(count):
         x = space()
@@ -292,17 +296,21 @@ class TestFindIsometry:
         assert lifted is not None and pseudoisometry_by_definition(lifted)
 
     def test_carried_forms_give_the_search_of_the_fraction_matrices(self):
-        # The same witness and counters whether both spaces carry an int
-        # form, one does, or neither does.
+        # The same witness and counters whether both spaces search at an
+        # inherited scale, one does, or neither does and each finds its
+        # least one.
         outcomes = set()
         for x, y in carried_pairs(200, 35):
             qx, qy = metric_reflection(x).quotient, metric_reflection(y).quotient
-            want = find_isometry(without_form(qx), without_form(qy))
+            px, py = parsed_copy(qx), parsed_copy(qy)
+            want = find_isometry(px, py)
             assert find_isometry(qx, qy) == want
-            assert find_isometry(qx, without_form(qy)) == want
-            assert find_isometry(without_form(qx), qy) == want
-            outcomes.add((qx._form[0], qy._form[0], want[0] is not None))
-        assert {(12, 12, False), (12, 12, True), (12, 60, True)} <= outcomes
+            assert find_isometry(qx, py) == want
+            assert find_isometry(px, qy) == want
+            assert qx._scale % px._scale == qy._scale % py._scale == 0
+            larger = qx._scale > px._scale or qy._scale > py._scale
+            outcomes.add((larger, qx._scale == qy._scale, want[0] is not None))
+        assert {(False, True, False), (False, True, True), (True, False, True)} <= outcomes
 
     def test_non_metric_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -472,7 +480,7 @@ class TestFindIsometry:
         # Both treat the two spaces alike, so each unordered pair of small
         # spaces is tried once; their entries are ints, so each matrix is
         # its own scaled form.
-        metric = [core._scaled(s.matrix)[0] for s in small_spaces(4) if is_metric(s)]
+        metric = [core._ints(s.matrix, 1) for s in small_spaces(4) if is_metric(s)]
         pairs = [(a, b) for i, a in enumerate(metric) for b in metric[i:] if len(a) == len(b)]
         rng = random.Random(22)
 
@@ -498,7 +506,8 @@ class TestFindIsometry:
             sigma = list(range(n))
             rng.shuffle(sigma)
             y = permuted_twin(x, sigma) if rng.random() < 0.5 else make()
-            pairs.append(core._scaled(x.matrix, y.matrix))
+            scale = math.lcm(x._scale, y._scale)
+            pairs.append((core._ints(x.matrix, scale), core._ints(y.matrix, scale)))
         assert len(pairs) == 2_120 + 150
         for d1, d2 in pairs:
             a = sum(morphisms._joint_signatures(d1, d2), [])
